@@ -424,10 +424,15 @@ def machine_from_doc(doc: object) -> Cfsm:
     transitions = []
     for i, rec in enumerate(raw_transitions):
         try:
-            channel = Channel(Role(rec["channel"]["sender"]), Role(rec["channel"]["receiver"]))
-            direction = Direction(rec["dir"])
-            act = Action(channel, direction, Message(rec["msg"]))
-            transitions.append((rec["from"], act, rec["to"]))
+            names = (rec["from"], rec["to"], rec["msg"],
+                     rec["channel"]["sender"], rec["channel"]["receiver"])
+            if not all(isinstance(name, str) and name for name in names):
+                raise MachineFormatError(
+                    f"transition #{i} is malformed: 'from', 'to', 'msg' and the channel's "
+                    "'sender' and 'receiver' must be nonempty strings")
+            src, dst, msg, sender, receiver = names
+            act = Action(Channel(Role(sender), Role(receiver)), Direction(rec["dir"]), Message(msg))
+            transitions.append((src, act, dst))
         except (KeyError, TypeError, ValueError) as exc:
             raise MachineFormatError(f"transition #{i} is malformed: {exc}") from None
         except InvalidMachineError as exc:

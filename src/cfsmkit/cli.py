@@ -56,8 +56,8 @@ class _CliFailure(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from None
 
 
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"buffer bound (default 4, or ${BOUND_ENV_VAR})")
     p_check.add_argument("--max-states", type=int, default=1_000_000)
     p_check.add_argument("--jobs", type=int, default=1,
-                         help="worker threads for frontier expansion (does not change verdicts)")
+                         help="accepted for compatibility and ignored: exploration is sequential")
     p_check.add_argument("--types", help="directory of named global types (default: the input's directory)")
     p_check.add_argument("--check-base-safety", action="store_true",
                          help="also check each base component's system")

@@ -22,12 +22,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .cfsm import Action, Direction, StateKind, classify_state
+from .cfsm import Action, StateKind
 from .system import (
     CommunicatingSystem,
     Configuration,
     ExplorationResult,
+    StateTable,
+    _check_configuration,
     explore,
+    state_table,
 )
 
 
@@ -81,126 +84,84 @@ class SafetyReport:
         return all(v.status is VerdictStatus.SAFE_COMPLETE for v in self.verdicts().values())
 
 
+# Each predicate reads the configuration through the exploration's state
+# table; the public ``is_*`` functions validate first and build the table.
+
+def _deadlock(table: StateTable, cfg: Configuration) -> bool:
+    return not cfg.buffers and all(
+        table[i][state].kind is StateKind.RECEIVING for i, (_, state) in enumerate(cfg.control))
+
+
+def _orphan_message(table: StateTable, cfg: Configuration) -> bool:
+    return bool(cfg.buffers) and all(
+        table[i][state].kind is StateKind.FINAL for i, (_, state) in enumerate(cfg.control))
+
+
+def _unspecified_reception(table: StateTable, cfg: Configuration) -> bool:
+    heads = None
+    for i, (_, state) in enumerate(cfg.control):
+        facts = table[i][state]
+        if facts.kind is not StateKind.RECEIVING:
+            continue
+        if heads is None:
+            heads = {ch: msgs[0] for ch, msgs in cfg.buffers if msgs}
+        # A receiving state has at least one receivable channel.
+        if all(ch in heads and heads[ch] not in msgs for ch, msgs in facts.receivable.items()):
+            return True
+    return False
+
+
+_PREDICATES = {
+    "deadlock": _deadlock,
+    "orphan_message": _orphan_message,
+    "unspecified_reception": _unspecified_reception,
+}
+
+
 def is_deadlock(s: CommunicatingSystem, c: Configuration) -> bool:
     """All buffers empty and every machine in a receiving state."""
-    if c.buffers:
-        return False
-    return all(
-        classify_state(s[role], state) is StateKind.RECEIVING
-        for role, state in c.control
-    )
+    _check_configuration(s, c)
+    return _deadlock(state_table(s), c)
 
 
 def is_orphan_message(s: CommunicatingSystem, c: Configuration) -> bool:
     """Every machine final, yet some buffer nonempty."""
-    if not c.buffers:
-        return False
-    return all(
-        classify_state(s[role], state) is StateKind.FINAL
-        for role, state in c.control
-    )
+    _check_configuration(s, c)
+    return _orphan_message(state_table(s), c)
 
 
 def is_unspecified_reception(s: CommunicatingSystem, c: Configuration) -> bool:
     """Some receiving machine finds, on every channel it could consume from,
     a nonempty buffer whose head it cannot receive in its current state."""
-    for role, state in c.control:
-        machine = s[role]
-        if classify_state(machine, state) is not StateKind.RECEIVING:
-            continue
-        receivable: dict = {}
-        for _, act, _ in machine.outgoing(state):
-            if act.direction is Direction.RECEIVE:
-                receivable.setdefault(act.channel, set()).add(act.message)
-        blocked = True
-        for channel, messages in receivable.items():
-            buf = c.buffer(channel)
-            if not buf or buf[0] in messages:
-                blocked = False
-                break
-        if blocked and receivable:
-            return True
-    return False
-
-
-def _scan_tables(s: CommunicatingSystem):
-    # Control vectors follow the sorted role order, so index-aligned tables
-    # of state kinds and receivable message sets make the scan cheap.
-    kinds = []
-    receivable = []
-    for role in s.roles:
-        machine = s[role]
-        kinds.append({q: classify_state(machine, q) for q in machine.states})
-        per_state: dict[str, dict] = {}
-        for q in machine.states:
-            chans: dict = {}
-            for _, act, _ in machine.outgoing(q):
-                if act.direction is Direction.RECEIVE:
-                    chans.setdefault(act.channel, set()).add(act.message)
-            per_state[q] = chans
-        receivable.append(per_state)
-    return kinds, receivable
+    _check_configuration(s, c)
+    return _unspecified_reception(state_table(s), c)
 
 
 def report_from_exploration(s: CommunicatingSystem, result: ExplorationResult) -> SafetyReport:
     """Evaluate the three predicates over an exploration, in discovery order."""
     safe_status = (VerdictStatus.SAFE_COMPLETE if result.complete
                    else VerdictStatus.SAFE_WITHIN_BOUND)
-    kinds, receivable = _scan_tables(s)
-    receiving = StateKind.RECEIVING
-    final = StateKind.FINAL
-
-    def scan_deadlock(cfg: Configuration) -> bool:
-        return not cfg.buffers and all(
-            kinds[i][state] is receiving for i, (_, state) in enumerate(cfg.control))
-
-    def scan_orphan(cfg: Configuration) -> bool:
-        return bool(cfg.buffers) and all(
-            kinds[i][state] is final for i, (_, state) in enumerate(cfg.control))
-
-    def scan_unspecified(cfg: Configuration) -> bool:
-        bufmap = None
-        for i, (_, state) in enumerate(cfg.control):
-            if kinds[i][state] is not receiving:
-                continue
-            if bufmap is None:
-                bufmap = dict(cfg.buffers)
-            blocked = True
-            for channel, msgs in receivable[i][state].items():
-                buf = bufmap.get(channel)
-                if not buf or buf[0] in msgs:
-                    blocked = False
-                    break
-            if blocked:
-                return True
-        return False
-
-    scanners = {
-        "deadlock": scan_deadlock,
-        "orphan_message": scan_orphan,
-        "unspecified_reception": scan_unspecified,
-    }
+    table = result.table
     verdicts: dict[str, PropertyVerdict] = {}
-    pending = dict(scanners)
-    for cfg in result.discovery_order:
+    pending = dict(_PREDICATES)
+    for cfg in result.parents:
         if not pending:
             break
         for name in list(pending):
-            if pending[name](cfg):
-                trace = result.trace_to(cfg)
-                digests = _trace_digests(result, cfg)
+            if pending[name](table, cfg):
+                path = result.path_to(cfg)
                 verdicts[name] = PropertyVerdict(
                     VerdictStatus.VIOLATION,
-                    witness=trace,
+                    witness=tuple(act for act, _ in path),
                     witness_configuration=cfg,
-                    witness_digests=digests,
+                    witness_digests=tuple(c.digest() for _, c in path),
                 )
                 del pending[name]
     for name in pending:
         verdicts[name] = PropertyVerdict(safe_status)
     stats = ExplorationStats(
-        configurations=len(result.reachable),
-        edges=len(result.transition_edges),
+        configurations=len(result.parents),
+        edges=result.edge_count,
         max_buffer_bound=result.max_buffer_bound,
         frontier_truncated=result.frontier_truncated,
         state_budget_exhausted=result.state_budget_exhausted,
@@ -213,22 +174,12 @@ def report_from_exploration(s: CommunicatingSystem, result: ExplorationResult) -
     )
 
 
-def _trace_digests(result: ExplorationResult, target: Configuration) -> tuple[str, ...]:
-    # Digest after each step of the breadth-first parent path to target.
-    chain: list[Configuration] = []
-    cfg = target
-    while True:
-        parent = result._parents[cfg]
-        if parent is None:
-            break
-        chain.append(cfg)
-        cfg = parent[0]
-    return tuple(c.digest() for c in reversed(chain))
-
-
 def check_safety(s: CommunicatingSystem, max_buffer_bound: int = 4,
                  max_states: int = 1_000_000, jobs: int = 1) -> SafetyReport:
-    """Explore within bounds and evaluate all three safety properties."""
+    """Explore within bounds and evaluate all three safety properties.
+
+    ``jobs`` is accepted for compatibility and ignored, as in ``explore``.
+    """
     result = explore(s, max_buffer_bound=max_buffer_bound, max_states=max_states, jobs=jobs)
     return report_from_exploration(s, result)
 

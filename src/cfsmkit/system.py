@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .cfsm import (
     Action,
@@ -32,8 +31,10 @@ from .cfsm import (
     Message,
     Role,
     RoleLike,
+    StateKind,
     as_message,
     as_role,
+    classify_state,
 )
 
 
@@ -182,6 +183,9 @@ def _check_configuration(s: CommunicatingSystem, c: Configuration) -> None:
     if seen != roles:
         missing = sorted(r.name for r in roles - seen)
         raise SystemMismatchError(f"configuration lacks control states for {missing}")
+    if tuple(r for r, _ in c.control) != s.roles:
+        # The state table is indexed by position in the control vector.
+        raise SystemMismatchError("configuration control is not one state per role in role order")
     for ch, _ in c.buffers:
         if ch.sender not in roles or ch.receiver not in roles:
             raise SystemMismatchError(f"configuration buffers unknown channel {ch}")
@@ -220,28 +224,62 @@ def _with_state_and_buffer(c: Configuration, role_index: int, new_state: str,
     return Configuration(control, buffers)
 
 
-def _successors(s: CommunicatingSystem, c: Configuration, action: Action) -> list[Configuration]:
-    # One action may have several targets when the machine is nondeterministic.
-    out: list[Configuration] = []
-    role = action.subject
-    if role not in s:
-        return out
-    machine = s[role]
-    index = next(i for i, (r, _) in enumerate(c.control) if r == role)
-    state = c.control[index][1]
-    if action.direction is Direction.SEND:
-        for _, act, dst in machine.outgoing(state):
-            if act == action:
-                out.append(_with_state_and_buffer(
-                    c, index, dst, action.channel, push=action.message, pop=False))
-    else:
-        buf = c.buffer(action.channel)
-        if buf and buf[0] == action.message:
-            for _, act, dst in machine.outgoing(state):
-                if act == action:
-                    out.append(_with_state_and_buffer(
-                        c, index, dst, action.channel, push=None, pop=True))
-    return out
+class StateFacts(NamedTuple):
+    """What exploration and the safety predicates need of one machine state."""
+
+    # (action, target, is_send, channel, message), in canonical order.
+    moves: tuple[tuple[Action, str, bool, Channel, Message], ...]
+    kind: StateKind
+    receivable: dict[Channel, frozenset[Message]]
+
+
+# One ``{state: StateFacts}`` map per role, index-aligned with ``s.roles`` and
+# so with the control vector of every canonical configuration.
+StateTable = tuple[dict[str, StateFacts], ...]
+
+
+def state_table(s: CommunicatingSystem) -> StateTable:
+    table = []
+    for role in s.roles:
+        machine = s[role]
+        facts = {}
+        for q in machine.states:
+            outs = machine.outgoing(q)
+            receivable: dict[Channel, set[Message]] = {}
+            for _, act, _ in outs:
+                if act.direction is Direction.RECEIVE:
+                    receivable.setdefault(act.channel, set()).add(act.message)
+            facts[q] = StateFacts(
+                tuple((act, dst, act.direction is Direction.SEND, act.channel, act.message)
+                      for _, act, dst in outs),
+                classify_state(machine, q),
+                {ch: frozenset(msgs) for ch, msgs in receivable.items()},
+            )
+        table.append(facts)
+    return tuple(table)
+
+
+def _successors(table: StateTable, cfg: Configuration, bound: float = math.inf
+                ) -> tuple[list[tuple[Action, Configuration]], bool]:
+    """Every step from ``cfg`` (one action may have several targets when the
+    machine is nondeterministic), and whether a send was suppressed because
+    its buffer already held ``bound`` messages."""
+    out: list[tuple[Action, Configuration]] = []
+    truncated = False
+    bufmap = dict(cfg.buffers)
+    for index, (_, state) in enumerate(cfg.control):
+        for act, dst, is_send, channel, message in table[index][state].moves:
+            buf = bufmap.get(channel)
+            if is_send:
+                if buf is not None and len(buf) >= bound:
+                    truncated = True
+                    continue
+                out.append((act, _with_state_and_buffer(
+                    cfg, index, dst, channel, push=message, pop=False)))
+            elif buf and buf[0] == message:
+                out.append((act, _with_state_and_buffer(
+                    cfg, index, dst, channel, push=None, pop=True)))
+    return out, truncated
 
 
 def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[Configuration]:
@@ -251,25 +289,13 @@ def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[
     not belong to the system raises SystemMismatchError instead.
     """
     _check_configuration(s, c)
-    return frozenset(_successors(s, c, action))
+    return frozenset(nxt for act, nxt in _successors(state_table(s), c)[0] if act == action)
 
 
 def enabled_actions(s: CommunicatingSystem, c: Configuration) -> frozenset[Action]:
     """Exactly the actions with at least one successor at ``c``."""
     _check_configuration(s, c)
-    out: set[Action] = set()
-    for role in s.roles:
-        state = c.state_of(role)
-        for _, act, _ in s[role].outgoing(state):
-            if act in out:
-                continue
-            if act.direction is Direction.SEND:
-                out.add(act)
-            else:
-                buf = c.buffer(act.channel)
-                if buf and buf[0] == act.message:
-                    out.add(act)
-    return frozenset(out)
+    return frozenset(act for act, _ in _successors(state_table(s), c)[0])
 
 
 Edge = tuple[Configuration, Action, Configuration]
@@ -283,89 +309,63 @@ class ExplorationResult:
     the buffer bound; ``state_budget_exhausted`` that the walk was aborted at
     the state budget.  Either flag makes the reachable set an
     under-approximation.
+
+    ``parents`` maps each explored configuration, in breadth-first discovery
+    order, to the configuration and action that first reached it (``None``
+    for the initial one); ``edge_count`` counts the steps the walk took
+    between explored configurations.
     """
 
-    reachable: frozenset[Configuration]
     frontier_truncated: bool
     max_buffer_bound: int
-    transition_edges: frozenset[Edge]
     state_budget_exhausted: bool
-    discovery_order: tuple[Configuration, ...]
+    parents: dict[Configuration, Optional[tuple[Configuration, Action]]]
+    edge_count: int
+    table: StateTable = field(repr=False, compare=False)
 
     @property
     def initial(self) -> Configuration:
-        return self.discovery_order[0]
+        return next(iter(self.parents))
+
+    @property
+    def reachable(self) -> frozenset[Configuration]:
+        return frozenset(self.parents)
+
+    @property
+    def discovery_order(self) -> tuple[Configuration, ...]:
+        return tuple(self.parents)
+
+    @property
+    def transition_edges(self) -> frozenset[Edge]:
+        """Every bounded step between explored configurations, recomputed on
+        demand.  Unless the state budget was exhausted, these are exactly the
+        ``edge_count`` steps the walk took."""
+        return frozenset(
+            (cfg, act, nxt)
+            for cfg in self.parents
+            for act, nxt in _successors(self.table, cfg, self.max_buffer_bound)[0]
+            if nxt in self.parents
+        )
 
     @property
     def complete(self) -> bool:
         return not (self.frontier_truncated or self.state_budget_exhausted)
 
-    @cached_property
-    def _parents(self) -> dict[Configuration, Optional[tuple[Configuration, Action]]]:
-        adjacency: dict[Configuration, list[tuple[Action, Configuration]]] = {}
-        for src, act, dst in self.transition_edges:
-            adjacency.setdefault(src, []).append((act, dst))
-        parents: dict[Configuration, Optional[tuple[Configuration, Action]]] = {self.initial: None}
-        queue = deque([self.initial])
-        while queue:
-            cfg = queue.popleft()
-            for act, nxt in adjacency.get(cfg, ()):
-                if nxt not in parents:
-                    parents[nxt] = (cfg, act)
-                    queue.append(nxt)
-        return parents
+    def path_to(self, target: Configuration) -> tuple[tuple[Action, Configuration], ...]:
+        """The breadth-first path from the initial configuration to
+        ``target``: each step's action and the configuration it reaches."""
+        if target not in self.parents:
+            raise SystemMismatchError("target configuration is not connected to the initial one")
+        out: list[tuple[Action, Configuration]] = []
+        cfg = target
+        while (parent := self.parents[cfg]) is not None:
+            out.append((parent[1], cfg))
+            cfg = parent[0]
+        return tuple(reversed(out))
 
     def trace_to(self, target: Configuration) -> tuple[Action, ...]:
         """An action sequence leading from the initial configuration to ``target``."""
-        if target not in self._parents:
-            raise SystemMismatchError("target configuration is not connected to the initial one")
-        out: list[Action] = []
-        cfg = target
-        while True:
-            parent = self._parents[cfg]
-            if parent is None:
-                break
-            cfg, act = parent
-            out.append(act)
-        return tuple(reversed(out))
-
-
-def _expand(s: CommunicatingSystem, bound: int):
-    """Per-configuration successor function used by explore."""
-    # Role-indexed tables with the per-transition facts predigested:
-    # (action, target, is_send, channel, message).
-    tables = []
-    for role in s.roles:
-        machine = s[role]
-        table = {}
-        for q in machine.states:
-            table[q] = tuple(
-                (act, dst, act.direction is Direction.SEND, act.channel, act.message)
-                for _, act, dst in machine.outgoing(q)
-            )
-        tables.append(table)
-
-    def successors(cfg: Configuration) -> tuple[list[tuple[Action, Configuration]], bool]:
-        out: list[tuple[Action, Configuration]] = []
-        truncated = False
-        bufmap = dict(cfg.buffers)
-        for index, (role, state) in enumerate(cfg.control):
-            for act, dst, is_send, channel, message in tables[index][state]:
-                if is_send:
-                    buf = bufmap.get(channel)
-                    if buf is not None and len(buf) >= bound:
-                        truncated = True
-                        continue
-                    out.append((act, _with_state_and_buffer(
-                        cfg, index, dst, channel, push=message, pop=False)))
-                else:
-                    buf = bufmap.get(channel)
-                    if buf and buf[0] == message:
-                        out.append((act, _with_state_and_buffer(
-                            cfg, index, dst, channel, push=None, pop=True)))
-        return out, truncated
-
-    return successors
+        return tuple(act for act, _ in self.path_to(target))
 
 
 def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
@@ -374,54 +374,41 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
 
     Sends into a full buffer are suppressed (flagging ``frontier_truncated``)
     and the walk aborts, flagging ``state_budget_exhausted``, rather than
-    admit more than ``max_states`` configurations.  ``jobs`` > 1 computes
-    successors of each frontier level concurrently; results are merged in
-    frontier order, so the outcome is identical to the sequential walk.
+    admit more than ``max_states`` configurations.  ``jobs`` is accepted for
+    compatibility and ignored: the walk is sequential.
     """
     if max_buffer_bound < 1 or max_states < 1:
         raise ValueError("bounds must be at least 1")
-    successors = _expand(s, max_buffer_bound)
+    table = state_table(s)
     init = initial_configuration(s)
-    visited: set[Configuration] = {init}
-    order: list[Configuration] = [init]
-    edges: list[Edge] = []
+    parents: dict[Configuration, Optional[tuple[Configuration, Action]]] = {init: None}
+    edges = 0
     truncated = False
     exhausted = False
     frontier: list[Configuration] = [init]
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        while frontier and not exhausted:
-            if pool is not None:
-                expansions = list(pool.map(successors, frontier))
-            else:
-                expansions = [successors(cfg) for cfg in frontier]
-            next_frontier: list[Configuration] = []
-            for cfg, (succ, cut) in zip(frontier, expansions):
-                truncated = truncated or cut
-                for act, nxt in succ:
-                    if nxt in visited:
-                        edges.append((cfg, act, nxt))
-                        continue
-                    if len(visited) >= max_states:
+    while frontier and not exhausted:
+        next_frontier: list[Configuration] = []
+        for cfg in frontier:
+            succ, cut = _successors(table, cfg, max_buffer_bound)
+            truncated = truncated or cut
+            for act, nxt in succ:
+                if nxt not in parents:
+                    if len(parents) >= max_states:
                         exhausted = True
                         break
-                    visited.add(nxt)
-                    order.append(nxt)
-                    edges.append((cfg, act, nxt))
+                    parents[nxt] = (cfg, act)
                     next_frontier.append(nxt)
-                if exhausted:
-                    break
-            frontier = next_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+                edges += 1
+            if exhausted:
+                break
+        frontier = next_frontier
     return ExplorationResult(
-        reachable=frozenset(visited),
         frontier_truncated=truncated,
         max_buffer_bound=max_buffer_bound,
-        transition_edges=frozenset(edges),
         state_budget_exhausted=exhausted,
-        discovery_order=tuple(order),
+        parents=parents,
+        edge_count=edges,
+        table=table,
     )
 
 
@@ -468,10 +455,12 @@ def parse_system(text: str) -> CommunicatingSystem:
 
 def render_trace(s: CommunicatingSystem, trace: Iterable[Action]) -> str:
     """One text line per step: the fired action and the resulting configuration digest."""
+    table = state_table(s)
     cfg = initial_configuration(s)
     lines = [f"init {cfg.digest()}"]
     for i, act in enumerate(trace, start=1):
-        succ = sorted(_successors(s, cfg, act), key=lambda c: (c.control, c.buffers))
+        succ = sorted((nxt for a, nxt in _successors(table, cfg)[0] if a == act),
+                      key=lambda c: (c.control, c.buffers))
         if not succ:
             raise SystemMismatchError(f"trace step {i} ({act}) is not enabled")
         cfg = succ[0]

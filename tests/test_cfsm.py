@@ -243,6 +243,22 @@ def test_parse_rejects_malformed_documents():
         }))  # target state not declared
 
 
+@pytest.mark.parametrize("path", [("from",), ("to",), ("msg",),
+                                  ("channel", "sender"), ("channel", "receiver")])
+@pytest.mark.parametrize("value", [7, "", None])
+def test_transition_names_must_be_nonempty_strings(path, value):
+    doc = {"subject": "J", "states": ["1"], "initial": "1",
+           "transitions": [{"from": "1", "to": "1", "channel": {"sender": "J", "receiver": "M"},
+                            "dir": "!", "msg": "text"}]}
+    parse_machine(json.dumps(doc))
+    record = doc["transitions"][0]
+    for key in path[:-1]:
+        record = record[key]
+    record[path[-1]] = value
+    with pytest.raises(MachineFormatError, match="nonempty strings"):
+        parse_machine(json.dumps(doc))
+
+
 def test_dot_export_labels_actions(mj):
     dot = machine_to_dot(mj)
     assert dot.startswith('digraph "J"')

@@ -1,12 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from cfsmkit import (
+    Action,
+    Cfsm,
+    CommunicatingSystem,
     gateway,
     languages_equal,
     erase_channels,
     parse_machine,
     project,
     serialize_machine,
+    serialize_system,
 )
 from cfsmkit.cli import main
 from conftest import submitter_machine
@@ -178,6 +186,15 @@ def test_check_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.system"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cfsmkit: cannot read")
+
+
 def test_check_missing_file_exits_2(capsys):
     code, _, _ = run(capsys, "check", "/nonexistent/nothing.gtir")
     assert code == 2
@@ -210,3 +227,35 @@ def test_jobs_flag_does_not_change_the_verdict(data_dir, capsys):
                          "--bound", "2", "--jobs", "2", "--format", "json")
     assert code1 == code2
     assert json.loads(out1) == json.loads(out2)
+
+
+def fan_in_deadlock_system():
+    # A and B each send to C, which receives in either order and then waits
+    # for a third message; A and B wait for a reply.  The deadlock is reached
+    # by several shortest paths, so the witness depends on which one the
+    # breadth-first search records.
+    def sender(role, message):
+        q0, q1, q2 = (f"{role.lower()}{i}" for i in range(3))
+        return Cfsm.make(role, q0, [(q0, Action.send(role, "C", message), q1),
+                                    (q1, Action.receive("C", role, "done"), q2)])
+
+    x, y = Action.receive("A", "C", "x"), Action.receive("B", "C", "y")
+    c = Cfsm.make("C", "c0", [("c0", x, "c1"), ("c0", y, "c2"), ("c1", y, "c3"),
+                              ("c2", x, "c3"), ("c3", x, "c4")])
+    return CommunicatingSystem({"A": sender("A", "x"), "B": sender("B", "y"), "C": c})
+
+
+def test_check_witness_is_identical_under_every_hash_seed(tmp_path):
+    path = tmp_path / "fan_in.system"
+    path.write_text(serialize_system(fan_in_deadlock_system()))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in range(1, 6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "cfsmkit.cli", "check", str(path),
+                               "--format", "json"],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 4, proc.stderr.decode()
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

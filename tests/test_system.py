@@ -279,12 +279,35 @@ def test_every_reachable_configuration_is_connected(relay_expr):
 
 
 def test_parallel_exploration_is_identical(relay_expr):
+    # ``jobs`` is accepted and ignored: the walk is sequential.
     s = semantics(relay_expr)
     seq = explore(s, max_buffer_bound=2)
     par = explore(s, max_buffer_bound=2, jobs=3)
-    assert seq.reachable == par.reachable
     assert seq.discovery_order == par.discovery_order
-    assert seq.transition_edges == par.transition_edges
+    assert seq.parents == par.parents
+    assert seq.edge_count == par.edge_count
+
+
+def test_parents_are_recorded_at_discovery(relay_expr):
+    # Each configuration's recorded parent was discovered before it, one
+    # breadth-first level closer to the initial configuration, and the
+    # recorded action steps from the parent to the child.
+    s = semantics(relay_expr)
+    result = explore(s, max_buffer_bound=1)
+    position = {c: i for i, c in enumerate(result.discovery_order)}
+    depth = {}
+    for child, parent in result.parents.items():
+        if parent is None:
+            assert child == result.initial
+            depth[child] = 0
+            continue
+        src, act = parent
+        assert position[src] < position[child]
+        assert child in step(s, src, act)
+        depth[child] = depth[src] + 1
+    for src, _, dst in result.transition_edges:
+        assert depth[dst] <= depth[src] + 1
+    assert len(result.transition_edges) == result.edge_count
 
 
 # -- serialization and traces -------------------------------------------------
