@@ -348,10 +348,19 @@ def tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# How deeply ``loop``, ``choice``, ``(`` and ``connect`` may nest.  The
+# parser and the passes over its output (``_walk``, ``_build``,
+# ``first_interactions``, the composition of nested connects) recurse once or
+# twice per level, so a bound well inside the interpreter's recursion limit
+# turns a deeper input into a ParseError instead of a RecursionError.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     @property
     def here(self) -> _Token:
@@ -377,6 +386,14 @@ class _Parser:
             want = text if text is not None else kind
             raise self.fail(f"expected {want!r}, found {self.here.text!r}")
         return tok
+
+    def enter(self) -> _Token:
+        """Consume the token that opens a nesting level; the caller closes
+        the level with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"nesting deeper than {MAX_NESTING} levels")
+        return self.advance()
 
     def ident(self, what: str) -> _Token:
         tok = self.accept("ident")
@@ -410,13 +427,14 @@ class _Parser:
             self.advance()
             return End()
         if tok.kind == "ident" and tok.text == "loop":
-            self.advance()
+            self.enter()
             self.expect("op", "{")
             body = self.sequence()
             self.expect("op", "}")
+            self.depth -= 1
             return Loop(body)
         if tok.kind == "ident" and tok.text == "choice":
-            self.advance()
+            self.enter()
             self.expect("ident", "at")
             decider = self.ident("the deciding role")
             self.expect("op", "{")
@@ -424,6 +442,7 @@ class _Parser:
             while self.accept("ident", "or"):
                 branches.append(self.sequence())
             self.expect("op", "}")
+            self.depth -= 1
             try:
                 return Choice(Role(decider.text), tuple(branches))
             except GlobalTypeError as exc:

@@ -227,11 +227,13 @@ class _GtirParser(_Parser):
         self.registry = registry
 
     def expression(self) -> GtirExpr:
-        if self.accept("op", "("):
+        tok = self.here
+        if tok.kind == "op" and tok.text == "(":
+            self.enter()
             expr = self.expression()
             self.expect("op", ")")
+            self.depth -= 1
             return expr
-        tok = self.here
         if tok.kind == "ident" and tok.text == "base":
             self.advance()
             name = self.ident("a global type name")
@@ -244,13 +246,14 @@ class _GtirParser(_Parser):
             except GtirError as exc:
                 raise ParseError(str(exc), name.line, name.column) from None
         if tok.kind == "ident" and tok.text == "connect":
-            self.advance()
+            self.enter()
             left = self.expression()
             self.expect("ident", "via")
             h = self.ident("an interface role")
             self.expect("op", "<->")
             k = self.ident("an interface role")
             right = self.expression()
+            self.depth -= 1
             try:
                 expr = Connect(left, Role(h.text), right, Role(k.text))
             except GtirError as exc:

@@ -20,17 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import getitem
 from typing import Optional
 
-from .cfsm import Action, StateKind
+from .cfsm import Action
 from .system import (
     CommunicatingSystem,
     Configuration,
     ExplorationResult,
-    StateTable,
-    _check_configuration,
+    Packed,
+    PackedSystem,
     explore,
-    state_table,
+    pack_configuration,
 )
 
 
@@ -84,29 +85,29 @@ class SafetyReport:
         return all(v.status is VerdictStatus.SAFE_COMPLETE for v in self.verdicts().values())
 
 
-# Each predicate reads the configuration through the exploration's state
-# table; the public ``is_*`` functions validate first and build the table.
+# Each predicate reads a packed configuration through the rows of its
+# ``PackedSystem``; the public ``is_*`` functions validate and pack first.
 
-def _deadlock(table: StateTable, cfg: Configuration) -> bool:
-    return not cfg.buffers and all(
-        table[i][state].kind is StateKind.RECEIVING for i, (_, state) in enumerate(cfg.control))
-
-
-def _orphan_message(table: StateTable, cfg: Configuration) -> bool:
-    return bool(cfg.buffers) and all(
-        table[i][state].kind is StateKind.FINAL for i, (_, state) in enumerate(cfg.control))
+def _deadlock(p: PackedSystem, cfg: Packed) -> bool:
+    return not any(cfg[len(p.roles):]) and all(
+        rows[state] is not None for rows, state in zip(p.receivable, cfg))
 
 
-def _unspecified_reception(table: StateTable, cfg: Configuration) -> bool:
-    heads = None
-    for i, (_, state) in enumerate(cfg.control):
-        facts = table[i][state]
-        if facts.kind is not StateKind.RECEIVING:
+def _orphan_message(p: PackedSystem, cfg: Packed) -> bool:
+    return all(map(getitem, p.final, cfg)) and any(cfg[len(p.roles):])
+
+
+def _unspecified_reception(p: PackedSystem, cfg: Packed) -> bool:
+    for rows, state in zip(p.receivable, cfg):
+        receivable = rows[state]
+        if receivable is None:
             continue
-        if heads is None:
-            heads = {ch: msgs[0] for ch, msgs in cfg.buffers if msgs}
         # A receiving state has at least one receivable channel.
-        if all(ch in heads and heads[ch] not in msgs for ch, msgs in facts.receivable.items()):
+        for slot, msgs in receivable:
+            buf = cfg[slot]
+            if not buf or buf[0] in msgs:
+                break
+        else:
             return True
     return False
 
@@ -120,47 +121,47 @@ _PREDICATES = {
 
 def is_deadlock(s: CommunicatingSystem, c: Configuration) -> bool:
     """All buffers empty and every machine in a receiving state."""
-    _check_configuration(s, c)
-    return _deadlock(state_table(s), c)
+    return _deadlock(*pack_configuration(s, c))
 
 
 def is_orphan_message(s: CommunicatingSystem, c: Configuration) -> bool:
     """Every machine final, yet some buffer nonempty."""
-    _check_configuration(s, c)
-    return _orphan_message(state_table(s), c)
+    return _orphan_message(*pack_configuration(s, c))
 
 
 def is_unspecified_reception(s: CommunicatingSystem, c: Configuration) -> bool:
     """Some receiving machine finds, on every channel it could consume from,
     a nonempty buffer whose head it cannot receive in its current state."""
-    _check_configuration(s, c)
-    return _unspecified_reception(state_table(s), c)
+    return _unspecified_reception(*pack_configuration(s, c))
 
 
 def report_from_exploration(s: CommunicatingSystem, result: ExplorationResult) -> SafetyReport:
-    """Evaluate the three predicates over an exploration, in discovery order."""
+    """Evaluate the three predicates over an exploration, in discovery order;
+    only witness paths are decoded."""
     safe_status = (VerdictStatus.SAFE_COMPLETE if result.complete
                    else VerdictStatus.SAFE_WITHIN_BOUND)
-    table = result.table
+    p = result.packing
     verdicts: dict[str, PropertyVerdict] = {}
-    pending = dict(_PREDICATES)
-    for cfg in result.parents:
+    pending = list(_PREDICATES.items())
+    for cfg in result.packed_parents:
+        hits = [name for name, holds in pending if holds(p, cfg)]
+        if not hits:
+            continue
+        path = result.packed_path_to(cfg)
+        violation = PropertyVerdict(
+            VerdictStatus.VIOLATION,
+            witness=tuple(act for act, _ in path),
+            witness_configuration=p.decode(cfg),
+            witness_digests=tuple(c.digest() for _, c in path),
+        )
+        verdicts.update(dict.fromkeys(hits, violation))
+        pending = [(name, holds) for name, holds in pending if name not in verdicts]
         if not pending:
             break
-        for name in list(pending):
-            if pending[name](table, cfg):
-                path = result.path_to(cfg)
-                verdicts[name] = PropertyVerdict(
-                    VerdictStatus.VIOLATION,
-                    witness=tuple(act for act, _ in path),
-                    witness_configuration=cfg,
-                    witness_digests=tuple(c.digest() for _, c in path),
-                )
-                del pending[name]
-    for name in pending:
+    for name, _ in pending:
         verdicts[name] = PropertyVerdict(safe_status)
     stats = ExplorationStats(
-        configurations=len(result.parents),
+        configurations=len(result.packed_parents),
         edges=result.edge_count,
         max_buffer_bound=result.max_buffer_bound,
         frontier_truncated=result.frontier_truncated,

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .cfsm import (
     Action,
@@ -31,10 +31,8 @@ from .cfsm import (
     Message,
     Role,
     RoleLike,
-    StateKind,
     as_message,
     as_role,
-    classify_state,
 )
 
 
@@ -184,101 +182,176 @@ def _check_configuration(s: CommunicatingSystem, c: Configuration) -> None:
         missing = sorted(r.name for r in roles - seen)
         raise SystemMismatchError(f"configuration lacks control states for {missing}")
     if tuple(r for r, _ in c.control) != s.roles:
-        # The state table is indexed by position in the control vector.
+        # A packed configuration is indexed by position in the control vector.
         raise SystemMismatchError("configuration control is not one state per role in role order")
     for ch, _ in c.buffers:
         if ch.sender not in roles or ch.receiver not in roles:
             raise SystemMismatchError(f"configuration buffers unknown channel {ch}")
 
 
-def _with_state_and_buffer(c: Configuration, role_index: int, new_state: str,
-                           channel: Channel, push: Optional[Message],
-                           pop: bool) -> Configuration:
-    old = c.control
-    control = old[:role_index] + ((old[role_index][0], new_state),) + old[role_index + 1:]
-    bufs = c.buffers
-    for i, (ch, _) in enumerate(bufs):
-        if ch is channel or ch == channel:
-            at = i
-            break
-        if channel < ch:
-            at = -i - 1  # insertion point, channel absent
-            break
-    else:
-        at = -len(bufs) - 1
-    if at < 0:
-        if push is None:
-            return Configuration(control, bufs)  # pop from an absent buffer: caller guards
-        at = -at - 1
-        buffers = bufs[:at] + ((channel, (push,)),) + bufs[at:]
-    else:
-        msgs = bufs[at][1]
-        if pop:
-            msgs = msgs[1:]
-        if push is not None:
-            msgs = msgs + (push,)
-        if msgs:
-            buffers = bufs[:at] + ((bufs[at][0], msgs),) + bufs[at + 1:]
-        else:
-            buffers = bufs[:at] + bufs[at + 1:]
-    return Configuration(control, buffers)
+#: A packed configuration: one state id per role, then one tuple of message
+#: ids per channel (see ``PackedSystem``).
+Packed = tuple
 
 
-class StateFacts(NamedTuple):
-    """What exploration and the safety predicates need of one machine state."""
+class PackedSystem:
+    """A system interned to small ints, the form exploration works on.
 
-    # (action, target, is_send, channel, message), in canonical order.
-    moves: tuple[tuple[Action, str, bool, Channel, Message], ...]
-    kind: StateKind
-    receivable: dict[Channel, frozenset[Message]]
+    Each role's states, the channels and the messages get ids in sorted-name
+    order, so no id depends on string hashing.  A packed configuration is one
+    flat tuple: one state id per role, in role order, then one tuple of
+    message ids per channel of ``channels``, in that order; an empty buffer
+    is ``()``.  Such tuples hash and compare in C, and the cyclic GC stops
+    tracking them.
+
+    The per-role rows are indexed by state id:
+
+    * ``moves``: one ``(action_id, dst_id, is_send, slot, msg_id)`` per
+      outgoing transition, in the machine's canonical order;
+    * ``receivable``: for a receiving state, ``(slot, msg_ids)`` per channel
+      it can consume from; None for any other state;
+    * ``final``: whether the state has no outgoing transition.
+
+    The channels are those some transition uses plus those ``extra`` buffers,
+    so that a configuration given at the API boundary keeps a buffer on a
+    channel that no transition uses.
+    """
+
+    def __init__(self, s: CommunicatingSystem, extra: Optional[Configuration] = None):
+        self.roles = roles = s.roles
+        machines = [s[r] for r in roles]
+        # Keyed by names: string keys hash and compare in C.
+        channels: dict[tuple[str, str], Channel] = {}
+        messages: dict[str, Message] = {}
+        for machine in machines:
+            for _, act, _ in machine.transitions:
+                ch = act.channel
+                channels[ch.sender.name, ch.receiver.name] = ch
+                messages[act.message.label] = act.message
+        if extra is not None:
+            for ch, msgs in extra.buffers:
+                channels[ch.sender.name, ch.receiver.name] = ch
+                for m in msgs:
+                    messages[m.label] = m
+        n = len(roles)
+        channel_keys = sorted(channels)
+        labels = sorted(messages)
+        self.channels = tuple(channels[key] for key in channel_keys)
+        self.messages = tuple(messages[label] for label in labels)
+        self._slots = slots = {key: n + k for k, key in enumerate(channel_keys)}
+        self._message_ids = message_ids = {label: k for k, label in enumerate(labels)}
+        # An action is its (slot, is_send, msg_id); ids follow first use.
+        action_ids: dict[tuple[int, bool, int], int] = {}
+        self._action_ids = action_ids
+        actions: list[Action] = []
+        self._state_ids: list[dict[str, int]] = []
+        self._control: list[list[tuple[Role, str]]] = []  # by state id
+        self.moves: list[tuple[tuple[tuple[int, int, bool, int, int], ...], ...]] = []
+        self.receivable: list[list[Optional[tuple[tuple[int, frozenset[int]], ...]]]] = []
+        self.final: list[list[bool]] = []
+        initial = []
+        SEND = Direction.SEND
+        for role, machine in zip(roles, machines):
+            states = sorted(machine.states)
+            ids = {q: k for k, q in enumerate(states)}
+            moves, receivable, final = [], [], []
+            for q in states:
+                row = []
+                sends = False
+                for _, act, dst in machine.outgoing(q):
+                    ch = act.channel
+                    slot = slots[ch.sender.name, ch.receiver.name]
+                    msg = message_ids[act.message.label]
+                    is_send = act.direction is SEND
+                    sends = sends or is_send
+                    action = action_ids.get((slot, is_send, msg))
+                    if action is None:
+                        action = action_ids[slot, is_send, msg] = len(actions)
+                        actions.append(act)
+                    row.append((action, ids[dst], is_send, slot, msg))
+                moves.append(tuple(row))
+                final.append(not row)
+                if row and not sends:  # a receiving state, as ``classify_state`` has it
+                    consumes: dict[int, set[int]] = {}
+                    for _, _, _, slot, msg in row:
+                        consumes.setdefault(slot, set()).add(msg)
+                    receivable.append(tuple((slot, frozenset(msgs))
+                                            for slot, msgs in consumes.items()))
+                else:
+                    receivable.append(None)
+            self._state_ids.append(ids)
+            self._control.append([(role, q) for q in states])
+            self.moves.append(tuple(moves))
+            self.receivable.append(receivable)
+            self.final.append(final)
+            initial.append(ids[machine.initial])
+        self.actions: tuple[Action, ...] = tuple(actions)
+        self.initial: Packed = tuple(initial) + ((),) * len(self.channels)
+
+    def action_id(self, action: Action) -> Optional[int]:
+        """The id of ``action``, or None when no transition performs it."""
+        ch = action.channel
+        return self._action_ids.get((self._slots.get((ch.sender.name, ch.receiver.name)),
+                                     action.direction is Direction.SEND,
+                                     self._message_ids.get(action.message.label)))
+
+    def decode(self, cfg: Packed) -> Configuration:
+        """The public, canonical form of a packed configuration."""
+        messages = self.messages
+        return Configuration(
+            tuple(pairs[state] for pairs, state in zip(self._control, cfg)),
+            tuple((ch, tuple(messages[m] for m in buf))
+                  for ch, buf in zip(self.channels, cfg[len(self.roles):]) if buf),
+        )
+
+    def encode(self, c: Configuration) -> Packed:
+        """The packed form of ``c``; SystemMismatchError when it has no packed
+        form here."""
+        if tuple(r for r, _ in c.control) != self.roles:
+            raise SystemMismatchError("configuration control is not one state per role in role order")
+        try:
+            cfg: list = [ids[q] for ids, (_, q) in zip(self._state_ids, c.control)]
+            cfg += [()] * len(self.channels)
+            for ch, msgs in c.buffers:
+                cfg[self._slots[ch.sender.name, ch.receiver.name]] = tuple(
+                    self._message_ids[m.label] for m in msgs)
+        except KeyError:
+            raise SystemMismatchError(f"configuration {c} does not fit the system") from None
+        return tuple(cfg)
 
 
-# One ``{state: StateFacts}`` map per role, index-aligned with ``s.roles`` and
-# so with the control vector of every canonical configuration.
-StateTable = tuple[dict[str, StateFacts], ...]
+def pack_configuration(s: CommunicatingSystem, c: Configuration) -> tuple[PackedSystem, Packed]:
+    """Check that ``c`` belongs to ``s``, then pack both.  A buffer on a
+    channel that no transition uses gets a slot of its own, so steps carry it
+    through unchanged."""
+    _check_configuration(s, c)
+    packed = PackedSystem(s, c)
+    return packed, packed.encode(c)
 
 
-def state_table(s: CommunicatingSystem) -> StateTable:
-    table = []
-    for role in s.roles:
-        machine = s[role]
-        facts = {}
-        for q in machine.states:
-            outs = machine.outgoing(q)
-            receivable: dict[Channel, set[Message]] = {}
-            for _, act, _ in outs:
-                if act.direction is Direction.RECEIVE:
-                    receivable.setdefault(act.channel, set()).add(act.message)
-            facts[q] = StateFacts(
-                tuple((act, dst, act.direction is Direction.SEND, act.channel, act.message)
-                      for _, act, dst in outs),
-                classify_state(machine, q),
-                {ch: frozenset(msgs) for ch, msgs in receivable.items()},
-            )
-        table.append(facts)
-    return tuple(table)
-
-
-def _successors(table: StateTable, cfg: Configuration, bound: float = math.inf
-                ) -> tuple[list[tuple[Action, Configuration]], bool]:
-    """Every step from ``cfg`` (one action may have several targets when the
-    machine is nondeterministic), and whether a send was suppressed because
-    its buffer already held ``bound`` messages."""
-    out: list[tuple[Action, Configuration]] = []
+def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf
+                ) -> tuple[list[tuple[int, Packed]], bool]:
+    """Every step from ``cfg`` as ``(action_id, successor)`` (one action may
+    have several targets when the machine is nondeterministic), and whether a
+    send was suppressed because its buffer already held ``bound`` messages."""
+    out: list[tuple[int, Packed]] = []
     truncated = False
-    bufmap = dict(cfg.buffers)
-    for index, (_, state) in enumerate(cfg.control):
-        for act, dst, is_send, channel, message in table[index][state].moves:
-            buf = bufmap.get(channel)
+    for index, moves in enumerate(p.moves):
+        for action, dst, is_send, slot, msg in moves[cfg[index]]:
+            buf = cfg[slot]
             if is_send:
-                if buf is not None and len(buf) >= bound:
+                if len(buf) >= bound:
                     truncated = True
                     continue
-                out.append((act, _with_state_and_buffer(
-                    cfg, index, dst, channel, push=message, pop=False)))
-            elif buf and buf[0] == message:
-                out.append((act, _with_state_and_buffer(
-                    cfg, index, dst, channel, push=None, pop=True)))
+                buf = buf + (msg,)
+            elif buf and buf[0] == msg:
+                buf = buf[1:]
+            else:
+                continue
+            nxt = list(cfg)
+            nxt[index] = dst
+            nxt[slot] = buf
+            out.append((action, tuple(nxt)))
     return out, truncated
 
 
@@ -288,20 +361,21 @@ def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[
     The empty set means the action is not enabled.  A configuration that does
     not belong to the system raises SystemMismatchError instead.
     """
-    _check_configuration(s, c)
-    return frozenset(nxt for act, nxt in _successors(state_table(s), c)[0] if act == action)
+    p, cfg = pack_configuration(s, c)
+    wanted = p.action_id(action)
+    return frozenset(p.decode(nxt) for act, nxt in _successors(p, cfg)[0] if act == wanted)
 
 
 def enabled_actions(s: CommunicatingSystem, c: Configuration) -> frozenset[Action]:
     """Exactly the actions with at least one successor at ``c``."""
-    _check_configuration(s, c)
-    return frozenset(act for act, _ in _successors(state_table(s), c)[0])
+    p, cfg = pack_configuration(s, c)
+    return frozenset(p.actions[act] for act, _ in _successors(p, cfg)[0])
 
 
 Edge = tuple[Configuration, Action, Configuration]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplorationResult:
     """Bounded reachability closure plus how it was cut off.
 
@@ -310,58 +384,88 @@ class ExplorationResult:
     the state budget.  Either flag makes the reachable set an
     under-approximation.
 
-    ``parents`` maps each explored configuration, in breadth-first discovery
-    order, to the configuration and action that first reached it (``None``
-    for the initial one); ``edge_count`` counts the steps the walk took
-    between explored configurations.
+    ``packed_parents`` maps each explored packed configuration, in
+    breadth-first discovery order, to the packed configuration and action id
+    that first reached it (``None`` for the initial one); ``edge_count``
+    counts the steps the walk took between explored configurations.  The
+    public views (``parents``, ``reachable``, ``discovery_order``,
+    ``transition_edges``, ``path_to``) decode on demand.
     """
 
     frontier_truncated: bool
     max_buffer_bound: int
     state_budget_exhausted: bool
-    parents: dict[Configuration, Optional[tuple[Configuration, Action]]]
+    packed_parents: dict[Packed, Optional[tuple[Packed, int]]] = field(repr=False)
     edge_count: int
-    table: StateTable = field(repr=False, compare=False)
+    packing: PackedSystem = field(repr=False)
+
+    @cached_property
+    def _decoded(self) -> dict[Packed, Configuration]:
+        decode = self.packing.decode
+        return {cfg: decode(cfg) for cfg in self.packed_parents}
+
+    @cached_property
+    def parents(self) -> dict[Configuration, Optional[tuple[Configuration, Action]]]:
+        """Each explored configuration, in discovery order, with the
+        configuration and action that first reached it."""
+        decoded = self._decoded
+        actions = self.packing.actions
+        return {decoded[cfg]: None if parent is None else (decoded[parent[0]], actions[parent[1]])
+                for cfg, parent in self.packed_parents.items()}
 
     @property
     def initial(self) -> Configuration:
-        return next(iter(self.parents))
+        return self.packing.decode(next(iter(self.packed_parents)))
 
     @property
     def reachable(self) -> frozenset[Configuration]:
-        return frozenset(self.parents)
+        return frozenset(self._decoded.values())
 
     @property
     def discovery_order(self) -> tuple[Configuration, ...]:
-        return tuple(self.parents)
+        return tuple(self._decoded.values())
 
     @property
     def transition_edges(self) -> frozenset[Edge]:
         """Every bounded step between explored configurations, recomputed on
         demand.  Unless the state budget was exhausted, these are exactly the
         ``edge_count`` steps the walk took."""
+        decoded = self._decoded
+        actions = self.packing.actions
         return frozenset(
-            (cfg, act, nxt)
-            for cfg in self.parents
-            for act, nxt in _successors(self.table, cfg, self.max_buffer_bound)[0]
-            if nxt in self.parents
+            (decoded[cfg], actions[act], decoded[nxt])
+            for cfg in self.packed_parents
+            for act, nxt in _successors(self.packing, cfg, self.max_buffer_bound)[0]
+            if nxt in decoded
         )
 
     @property
     def complete(self) -> bool:
         return not (self.frontier_truncated or self.state_budget_exhausted)
 
+    def packed_path_to(self, target: Packed) -> tuple[tuple[Action, Configuration], ...]:
+        """The breadth-first path from the initial configuration to the
+        explored packed configuration ``target``: each step's action and the
+        configuration it reaches, decoded."""
+        actions = self.packing.actions
+        decode = self.packing.decode
+        out: list[tuple[Action, Configuration]] = []
+        cfg = target
+        while (parent := self.packed_parents[cfg]) is not None:
+            out.append((actions[parent[1]], decode(cfg)))
+            cfg = parent[0]
+        return tuple(reversed(out))
+
     def path_to(self, target: Configuration) -> tuple[tuple[Action, Configuration], ...]:
         """The breadth-first path from the initial configuration to
         ``target``: each step's action and the configuration it reaches."""
-        if target not in self.parents:
+        try:
+            cfg = self.packing.encode(target)
+        except SystemMismatchError:
+            cfg = None
+        if cfg not in self.packed_parents:
             raise SystemMismatchError("target configuration is not connected to the initial one")
-        out: list[tuple[Action, Configuration]] = []
-        cfg = target
-        while (parent := self.parents[cfg]) is not None:
-            out.append((parent[1], cfg))
-            cfg = parent[0]
-        return tuple(reversed(out))
+        return self.packed_path_to(cfg)
 
     def trace_to(self, target: Configuration) -> tuple[Action, ...]:
         """An action sequence leading from the initial configuration to ``target``."""
@@ -379,17 +483,16 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
     """
     if max_buffer_bound < 1 or max_states < 1:
         raise ValueError("bounds must be at least 1")
-    table = state_table(s)
-    init = initial_configuration(s)
-    parents: dict[Configuration, Optional[tuple[Configuration, Action]]] = {init: None}
+    p = PackedSystem(s)
+    parents: dict[Packed, Optional[tuple[Packed, int]]] = {p.initial: None}
     edges = 0
     truncated = False
     exhausted = False
-    frontier: list[Configuration] = [init]
+    frontier: list[Packed] = [p.initial]
     while frontier and not exhausted:
-        next_frontier: list[Configuration] = []
+        next_frontier: list[Packed] = []
         for cfg in frontier:
-            succ, cut = _successors(table, cfg, max_buffer_bound)
+            succ, cut = _successors(p, cfg, max_buffer_bound)
             truncated = truncated or cut
             for act, nxt in succ:
                 if nxt not in parents:
@@ -406,9 +509,9 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
         frontier_truncated=truncated,
         max_buffer_bound=max_buffer_bound,
         state_budget_exhausted=exhausted,
-        parents=parents,
+        packed_parents=parents,
         edge_count=edges,
-        table=table,
+        packing=p,
     )
 
 
@@ -455,14 +558,15 @@ def parse_system(text: str) -> CommunicatingSystem:
 
 def render_trace(s: CommunicatingSystem, trace: Iterable[Action]) -> str:
     """One text line per step: the fired action and the resulting configuration digest."""
-    table = state_table(s)
-    cfg = initial_configuration(s)
-    lines = [f"init {cfg.digest()}"]
+    p = PackedSystem(s)
+    cfg = p.initial
+    lines = [f"init {p.decode(cfg).digest()}"]
     for i, act in enumerate(trace, start=1):
-        succ = sorted((nxt for a, nxt in _successors(table, cfg)[0] if a == act),
-                      key=lambda c: (c.control, c.buffers))
+        wanted = p.action_id(act)
+        succ = sorted(((p.decode(nxt), nxt) for a, nxt in _successors(p, cfg)[0] if a == wanted),
+                      key=lambda pair: (pair[0].control, pair[0].buffers))
         if not succ:
             raise SystemMismatchError(f"trace step {i} ({act}) is not enabled")
-        cfg = succ[0]
-        lines.append(f"{i}. {act} {cfg.digest()}")
+        decoded, cfg = succ[0]
+        lines.append(f"{i}. {act} {decoded.digest()}")
     return "\n".join(lines) + "\n"

@@ -59,6 +59,61 @@ def _plain_system(s: CommunicatingSystem):
     return roles, tables, initial
 
 
+def _plain_successors(roles, tables, bound: int, cfg):
+    """Every step from a plain configuration under the bounded semantics, and
+    whether a send was skipped because its buffer already held ``bound``
+    messages."""
+    states, bufs = cfg
+    bufmap = dict(bufs)
+    out = []
+    truncated = False
+    for i, role in enumerate(roles):
+        for kind, channel, msg, dst in tables[role][states[i]]:
+            queue = bufmap.get(channel, ())
+            if kind == "send":
+                if len(queue) >= bound:
+                    truncated = True
+                    continue
+                new_bufs = dict(bufmap)
+                new_bufs[channel] = queue + (msg,)
+            else:
+                if not queue or queue[0] != msg:
+                    continue
+                new_bufs = dict(bufmap)
+                if queue[1:]:
+                    new_bufs[channel] = queue[1:]
+                else:
+                    del new_bufs[channel]
+            new_states = states[:i] + (dst,) + states[i + 1:]
+            out.append((new_states, tuple(sorted(new_bufs.items()))))
+    return out, truncated
+
+
+def naive_reachable(s: CommunicatingSystem, bound: int,
+                    max_configs: int = 500_000) -> tuple[frozenset, bool]:
+    """Re-derive the bounded reachable set with a from-scratch search.
+
+    A configuration is ``(state per role, sorted tuple of ((sender,
+    receiver), messages))`` over names, with empty buffers omitted.  Returns
+    the set and whether some send was skipped at the bound.
+    """
+    roles, tables, initial = _plain_system(s)
+    start = (initial, ())
+    seen = {start}
+    stack = [start]
+    truncated = False
+    while stack:
+        succ, cut = _plain_successors(roles, tables, bound, stack.pop())
+        truncated = truncated or cut
+        for nxt in succ:
+            if nxt not in seen:
+                if len(seen) >= max_configs:
+                    raise RuntimeError("oracle exploration too large")
+                seen.add(nxt)
+                stack.append(nxt)
+    return frozenset(seen), truncated
+
+
 def naive_bounded_safety(s: CommunicatingSystem, bound: int,
                          max_configs: int = 500_000) -> dict[str, bool]:
     """Re-derive the three safety verdicts with a from-scratch search.
@@ -113,31 +168,6 @@ def naive_bounded_safety(s: CommunicatingSystem, bound: int,
                 return True
         return False
 
-    def successors(cfg):
-        states, bufs = cfg
-        bufmap = dict(bufs)
-        out = []
-        for i, role in enumerate(roles):
-            for kind, channel, msg, dst in tables[role][states[i]]:
-                if kind == "send":
-                    queue = bufmap.get(channel, ())
-                    if len(queue) >= bound:
-                        continue
-                    new_bufs = dict(bufmap)
-                    new_bufs[channel] = queue + (msg,)
-                else:
-                    queue = bufmap.get(channel, ())
-                    if not queue or queue[0] != msg:
-                        continue
-                    new_bufs = dict(bufmap)
-                    if queue[1:]:
-                        new_bufs[channel] = queue[1:]
-                    else:
-                        del new_bufs[channel]
-                new_states = states[:i] + (dst,) + states[i + 1:]
-                out.append((new_states, tuple(sorted(new_bufs.items()))))
-        return out
-
     found = {"deadlock": False, "orphan_message": False, "unspecified_reception": False}
     seen = {start}
     stack = [start]
@@ -151,7 +181,7 @@ def naive_bounded_safety(s: CommunicatingSystem, bound: int,
             found["unspecified_reception"] = True
         if all(found.values()):
             break
-        for nxt in successors(cfg):
+        for nxt in _plain_successors(roles, tables, bound, cfg)[0]:
             if nxt not in seen:
                 if len(seen) >= max_configs:
                     raise RuntimeError("oracle exploration too large")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cfsmkit import (
     Action,
     Cfsm,
@@ -17,6 +19,7 @@ from cfsmkit import (
     serialize_system,
 )
 from cfsmkit.cli import main
+from cfsmkit.globaltype import MAX_NESTING
 from conftest import submitter_machine
 
 
@@ -63,6 +66,53 @@ def test_project_dot_output(data_dir, capsys):
                        "--format", "dot")
     assert code == 0
     assert out.startswith('digraph "T"')
+
+
+# -- nesting limit ------------------------------------------------------------
+
+def nested_loops(depth):
+    return "loop { A->B: m; " * depth + "B->A: n" + " }" * depth + "\n"
+
+
+def nested_choices(depth):
+    return "choice at A { A->B: x; " * depth + "B->A: n" + " or A->B: y }" * depth + "\n"
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1200])
+def test_project_nesting_past_the_limit_exits_2(tmp_path, capsys, depth):
+    gt = tmp_path / "deep.gt"
+    gt.write_text(nested_loops(depth))
+    code, out, err = run(capsys, "project", str(gt), "--role", "A")
+    assert code == 2
+    assert out == ""
+    assert "nesting deeper than" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["(" * 1200 + "base g interfaces {}" + ")" * 1200,
+                                  "connect " * 1200])
+def test_check_nesting_past_the_limit_exits_2(tmp_path, capsys, text):
+    (tmp_path / "g.gt").write_text("A->B: m\n")
+    gtir = tmp_path / "deep.gtir"
+    gtir.write_text(text + "\n")
+    code, out, err = run(capsys, "check", str(gtir))
+    assert code == 2
+    assert out == ""
+    assert "nesting deeper than" in err and "Traceback" not in err
+
+
+def test_protocols_nested_at_the_limit_project_and_check(tmp_path, capsys):
+    # The passes over a parsed protocol recurse too, so the limit must leave
+    # them room.
+    for name, protocol in (("loops", nested_loops), ("choices", nested_choices)):
+        gt = tmp_path / f"{name}.gt"
+        gt.write_text(protocol(MAX_NESTING))
+        code, _, err = run(capsys, "project", str(gt), "--role", "B")
+        assert code == 0, err
+        gtir = tmp_path / f"{name}.gtir"
+        gtir.write_text("(" * MAX_NESTING + f"base {name} interfaces {{}}" + ")" * MAX_NESTING)
+        code, out, err = run(capsys, "check", str(gtir), "--bound", "1")
+        assert code == 5, err  # safe so far, but the walk stopped at the bound
+        assert "frontier truncated" in out
 
 
 # -- compat -------------------------------------------------------------------

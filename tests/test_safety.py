@@ -127,6 +127,26 @@ def test_one_receivable_channel_clears_the_blockage():
     assert formula(system2, c2) == is_unspecified_reception(system2, c2) == True  # noqa: E712
 
 
+# -- buffers on channels no transition uses -----------------------------------
+
+def test_predicates_see_a_buffer_on_an_unused_channel():
+    # No transition uses CA, yet a configuration may buffer on it: the
+    # buffer is nonempty for deadlock and orphan message, and it is no
+    # receiving machine's head.
+    a = Cfsm.make("A", "q0", [("q0", Action.receive("B", "A", "x"), "q1")])
+    b = Cfsm.make("B", "r0", [("r0", Action.receive("A", "B", "y"), "r1")])
+    c = Cfsm.make("C", "c0", [("c0", Action.receive("A", "C", "w"), "c1")])
+    s = CommunicatingSystem({"A": a, "B": b, "C": c})
+    waiting = {"A": "q0", "B": "r0", "C": "c0"}
+    done = {"A": "q1", "B": "r1", "C": "c1"}
+    stray = {ch("C", "A"): ["z"]}
+    assert is_deadlock(s, Configuration.make(waiting))
+    assert not is_deadlock(s, Configuration.make(waiting, stray))
+    assert not is_unspecified_reception(s, Configuration.make(waiting, stray))
+    assert not is_orphan_message(s, Configuration.make(done))
+    assert is_orphan_message(s, Configuration.make(done, stray))
+
+
 # -- check_safety -------------------------------------------------------------
 
 def test_composed_example_is_safe_within_bound(relay_expr):

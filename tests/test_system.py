@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfsmkit import (
     Action,
@@ -13,6 +14,7 @@ from cfsmkit import (
     Role,
     StateKind,
     SystemMismatchError,
+    check_safety,
     classify_state,
     enabled_actions,
     explore,
@@ -24,6 +26,7 @@ from cfsmkit import (
 )
 from cfsmkit.system import render_trace
 from generators import random_machine
+from oracles import naive_bounded_safety, naive_reachable
 
 
 def handoff_system():
@@ -115,6 +118,29 @@ def test_step_returns_all_targets_of_a_nondeterministic_send():
     s = CommunicatingSystem({"A": a, "B": b})
     succ = step(s, initial_configuration(s), Action.send("A", "B", "a"))
     assert len(succ) == 2
+
+
+# -- buffers on channels no transition uses -----------------------------------
+
+BA = Channel(Role("B"), Role("A"))
+
+
+def test_step_carries_a_buffer_on_an_unused_channel():
+    # No transition uses BA, yet a configuration may buffer on it: every step
+    # carries that buffer through unchanged.
+    s = handoff_system()
+    start = cfg({"A": "q0", "B": "r0"}, {BA: ["z"]})
+    (mid,) = step(s, start, Action.send("A", "B", "a"))
+    assert mid == cfg({"A": "q1", "B": "r0"}, {AB: ["a"], BA: ["z"]})
+    assert step(s, mid, Action.receive("A", "B", "a")) == frozenset(
+        {cfg({"A": "q1", "B": "r1"}, {BA: ["z"]})})
+
+
+def test_enabled_actions_ignore_a_buffer_on_an_unused_channel():
+    s = handoff_system()
+    assert enabled_actions(s, cfg({"A": "q0", "B": "r0"}, {BA: ["z"]})) == frozenset(
+        {Action.send("A", "B", "a")})
+    assert enabled_actions(s, cfg({"A": "q1", "B": "r0"}, {BA: ["z"]})) == frozenset()
 
 
 # -- enabled actions ----------------------------------------------------------
@@ -308,6 +334,59 @@ def test_parents_are_recorded_at_discovery(relay_expr):
     for src, _, dst in result.transition_edges:
         assert depth[dst] <= depth[src] + 1
     assert len(result.transition_edges) == result.edge_count
+
+
+@st.composite
+def small_systems(draw):
+    """Systems of 2-3 roles, each machine with at most 3 states."""
+    names = ["A", "B", "C"][:draw(st.integers(2, 3))]
+    machines = {}
+    for role in names:
+        states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+        partners = [r for r in names if r != role]
+        transitions = []
+        for _ in range(draw(st.integers(0, 4))):
+            src, dst = draw(st.sampled_from(states)), draw(st.sampled_from(states))
+            other, msg = draw(st.sampled_from(partners)), draw(st.sampled_from(["a", "b"]))
+            act = (Action.send(role, other, msg) if draw(st.booleans())
+                   else Action.receive(other, role, msg))
+            transitions.append((src, act, dst))
+        machines[role] = Cfsm.make(role, "s0", transitions, extra_states=states)
+    return CommunicatingSystem(machines)
+
+
+def plain(c: Configuration):
+    return (tuple(q for _, q in c.control),
+            tuple(((ch.sender.name, ch.receiver.name), tuple(m.label for m in msgs))
+                  for ch, msgs in c.buffers))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems(), st.integers(1, 3))
+def test_exploration_agrees_with_the_reachability_oracle(s, bound):
+    result = explore(s, max_buffer_bound=bound)
+    reachable, truncated = naive_reachable(s, bound)
+    assert frozenset(plain(c) for c in result.reachable) == reachable
+    assert result.frontier_truncated == truncated
+    assert result.edge_count == len(result.transition_edges)
+    report = check_safety(s, max_buffer_bound=bound)
+    expected = naive_bounded_safety(s, bound=bound)
+    for name in expected:
+        verdict = getattr(report, name)
+        assert verdict.violated == expected[name]
+        if verdict.violated:
+            assert verdict.witness_configuration in replay(s, verdict.witness, verdict.witness_digests)
+
+
+def replay(s: CommunicatingSystem, trace, digests) -> frozenset[Configuration]:
+    """Every configuration that firing ``trace`` from the initial configuration
+    can end in, following every target of a nondeterministic step; each step
+    must be enabled from some configuration and reach one with its digest."""
+    current = frozenset({initial_configuration(s)})
+    for i, (act, digest) in enumerate(zip(trace, digests, strict=True), start=1):
+        current = frozenset(nxt for c in current for nxt in step(s, c, act))
+        assert digest in {c.digest() for c in current}, f"step {i} ({act})"
+    return current
 
 
 # -- serialization and traces -------------------------------------------------
