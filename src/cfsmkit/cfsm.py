@@ -36,9 +36,10 @@ class MachineFormatError(CfsmError):
     """A serialized machine document is malformed."""
 
 
-# The value types below precompute their hash: configurations hash these
-# objects constantly during exploration, and the cached int keeps the visited
-# set cheap.  Equality stays structural.
+# The value types below precompute their hash: building machines and systems
+# (transition sets, alphabets, role and channel lookups) hashes these objects
+# constantly, and the cached int keeps that cheap.  Exploration works on
+# packed ints and does not hash them.  Equality stays structural.
 
 @dataclass(frozen=True, slots=True, order=True)
 class Role:

@@ -34,7 +34,7 @@ from .compose import (
 )
 from .gateway import GatewayPreconditionError, gateway
 from .globaltype import ParseError, ProjectionError, UnknownRoleError, parse_global_type, project
-from .gtir import Base, Connect, GtirExpr, load_global_types, parse_gtir, validate_gtir, _semantics
+from .gtir import Base, Connect, GtirError, GtirExpr, load_global_types, parse_gtir, semantics
 from .safety import SafetyReport, check_safety, render_report, report_to_doc
 from .system import parse_system
 
@@ -164,11 +164,10 @@ def _load_check_input(args):
         expr = parse_gtir(text, registry)
     except ParseError as exc:
         raise _CliFailure(EXIT_PARSE, f"{args.file}: {exc}") from None
-    violations = validate_gtir(expr)
-    if violations:
-        detail = "\n".join(f"  - {v}" for v in violations)
-        raise _CliFailure(EXIT_ROLE, f"{args.file}: not a valid composition:\n{detail}")
-    return _semantics(expr), expr
+    try:
+        return semantics(expr), expr
+    except GtirError as exc:
+        raise _CliFailure(EXIT_ROLE, f"{args.file}: {exc}") from None
 
 
 def _base_systems(expr: GtirExpr):
@@ -186,7 +185,7 @@ def _cmd_check(args) -> int:
     if args.check_base_safety and expr is not None:
         for i, sub in enumerate(_base_systems(expr)):
             reports[f"component-{i}"] = check_safety(
-                _semantics(sub), max_buffer_bound=bound,
+                semantics(sub), max_buffer_bound=bound,
                 max_states=args.max_states, jobs=args.jobs)
     report = check_safety(system, max_buffer_bound=bound,
                           max_states=args.max_states, jobs=args.jobs)

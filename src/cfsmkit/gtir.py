@@ -13,6 +13,11 @@ in the role sets, connected roles actually open, disjoint role universes).
 must not let interface roles talk to each other, and connected interface
 roles must project to compatible machines.  Validation collects every
 violation instead of stopping at the first, so it doubles as a diagnostic.
+
+Both rest on one bottom-up walk that projects each role of each base type
+once and lets ``compose`` decide each connection: ``validate_gtir`` returns
+the violations it met, and ``semantics`` validates and builds the system in
+that one walk.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .cfsm import Cfsm, CfsmError, Channel, Message, Role, RoleLike, as_role
-from .compose import CompatibilityVerdict, check_compatibility, compose
+from .compose import CompatibilityVerdict, IncompatibleInterfacesError, compose
 from .globaltype import (
     GlobalType,
     ParseError,
@@ -162,45 +167,49 @@ def validate_gtir(g: GtirExpr) -> list[Violation]:
     hypothesis of the preservation result, checked separately.
     """
     violations: list[Violation] = []
-    if isinstance(g, Base):
-        interfaces = g.interfaces()
-        offending = set()
-        for p in sorted(g.roles()):
-            machine = project(g.global_type, p)
-            for _, act, _ in machine.transitions:
-                ch = act.channel
-                if ch.sender in interfaces and ch.receiver in interfaces:
-                    offending.add((ch, act.message))
-        violations.extend(InterfaceCommunication(ch, msg) for ch, msg in sorted(offending))
-    elif isinstance(g, Connect):
-        violations.extend(validate_gtir(g.left))
-        violations.extend(validate_gtir(g.right))
-        verdict = check_compatibility(project_gtir(g.left, g.h), project_gtir(g.right, g.k))
-        if not verdict.compatible:
-            violations.append(IncompatibleInterfaces(g.h, g.k, verdict))
-    else:
-        raise TypeError(f"not an expression: {g!r}")
+    _denote(g, violations)
     return violations
 
 
 def semantics(g: GtirExpr) -> CommunicatingSystem:
     """The communicating system denoted by a valid expression."""
-    violations = validate_gtir(g)
+    violations: list[Violation] = []
+    system = _denote(g, violations)
     if violations:
         raise GtirError(
-            "expression is not a valid composition:\n"
+            "not a valid composition:\n"
             + "\n".join(f"  - {v}" for v in violations)
         )
-    return _semantics(g)
+    return system
 
 
-def _semantics(g: GtirExpr) -> CommunicatingSystem:
+def _denote(g: GtirExpr, violations: list[Violation]) -> CommunicatingSystem:
+    """The system ``g`` denotes, appending every violation met on the way.
+
+    Each role of each base type is projected once.  ``compose`` decides each
+    connection; when it finds the interfaces incompatible, the two sides are
+    carried on unconnected, so violations further out are still collected.
+    """
     if isinstance(g, Base):
-        return CommunicatingSystem({
-            p: project(g.global_type, p) for p in type_roles(g.global_type)
-        })
-    assert isinstance(g, Connect)
-    return compose(_semantics(g.left), g.h, _semantics(g.right), g.k)
+        machines = {p: project(g.global_type, p) for p in sorted(g.roles())}
+        interfaces = g.interfaces()
+        offending = {
+            (act.channel, act.message)
+            for m in machines.values()
+            for _, act, _ in m.transitions
+            if act.channel.sender in interfaces and act.channel.receiver in interfaces
+        }
+        violations.extend(InterfaceCommunication(ch, msg) for ch, msg in sorted(offending))
+        return CommunicatingSystem(machines)
+    if isinstance(g, Connect):
+        left = _denote(g.left, violations)
+        right = _denote(g.right, violations)
+        try:
+            return compose(left, g.h, right, g.k)
+        except IncompatibleInterfacesError as exc:
+            violations.append(IncompatibleInterfaces(g.h, g.k, exc.verdict))
+            return CommunicatingSystem({**left.machines, **right.machines})
+    raise TypeError(f"not an expression: {g!r}")
 
 
 # ---------------------------------------------------------------------------

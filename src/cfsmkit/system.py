@@ -92,14 +92,6 @@ class CommunicatingSystem:
     def __repr__(self) -> str:
         return f"CommunicatingSystem(roles={[r.name for r in self._roles]})"
 
-    def channels(self) -> tuple[Channel, ...]:
-        """Channels actually used by some transition, in canonical order."""
-        used = set()
-        for m in self._machines.values():
-            for _, act, _ in m.transitions:
-                used.add(act.channel)
-        return tuple(sorted(used))
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -111,13 +103,6 @@ class Configuration:
 
     control: tuple[tuple[Role, str], ...]
     buffers: tuple[tuple[Channel, tuple[Message, ...]], ...]
-
-    def __post_init__(self) -> None:
-        # Visited-set lookups hash configurations constantly; cache the value.
-        object.__setattr__(self, "_hash", hash((self.control, self.buffers)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def make(control: Mapping[RoleLike, str],
@@ -181,9 +166,6 @@ def _check_configuration(s: CommunicatingSystem, c: Configuration) -> None:
     if seen != roles:
         missing = sorted(r.name for r in roles - seen)
         raise SystemMismatchError(f"configuration lacks control states for {missing}")
-    if tuple(r for r, _ in c.control) != s.roles:
-        # A packed configuration is indexed by position in the control vector.
-        raise SystemMismatchError("configuration control is not one state per role in role order")
     for ch, _ in c.buffers:
         if ch.sender not in roles or ch.receiver not in roles:
             raise SystemMismatchError(f"configuration buffers unknown channel {ch}")
@@ -557,16 +539,21 @@ def parse_system(text: str) -> CommunicatingSystem:
 
 
 def render_trace(s: CommunicatingSystem, trace: Iterable[Action]) -> str:
-    """One text line per step: the fired action and the resulting configuration digest."""
+    """One text line per step: the fired action and a resulting configuration's
+    digest.
+
+    A nondeterministic machine may reach several configurations on one
+    trace prefix; the replay keeps all of them, fails only when none enables
+    the next action, and prints the digest of the lowest-sorted one.
+    """
     p = PackedSystem(s)
-    cfg = p.initial
-    lines = [f"init {p.decode(cfg).digest()}"]
+    current = {p.initial}
+    lines = [f"init {p.decode(p.initial).digest()}"]
     for i, act in enumerate(trace, start=1):
         wanted = p.action_id(act)
-        succ = sorted(((p.decode(nxt), nxt) for a, nxt in _successors(p, cfg)[0] if a == wanted),
-                      key=lambda pair: (pair[0].control, pair[0].buffers))
-        if not succ:
+        current = {nxt for cfg in current for a, nxt in _successors(p, cfg)[0] if a == wanted}
+        if not current:
             raise SystemMismatchError(f"trace step {i} ({act}) is not enabled")
-        decoded, cfg = succ[0]
-        lines.append(f"{i}. {act} {decoded.digest()}")
+        lowest = min((p.decode(cfg) for cfg in current), key=lambda c: (c.control, c.buffers))
+        lines.append(f"{i}. {act} {lowest.digest()}")
     return "\n".join(lines) + "\n"

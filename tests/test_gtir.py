@@ -4,6 +4,7 @@ from cfsmkit import (
     GtirError,
     IncompatibleInterfaces,
     InterfaceCommunication,
+    LanguageMismatch,
     ParseError,
     Role,
     base,
@@ -14,6 +15,7 @@ from cfsmkit import (
     is_isomorphic,
     gateway,
     load_global_types,
+    parse_global_type,
     parse_gtir,
     project,
     project_gtir,
@@ -103,6 +105,42 @@ def test_validation_collects_violations_from_both_sides():
 
 def test_composed_fixture_is_valid(relay_expr):
     assert validate_gtir(relay_expr) == []
+
+
+def test_nested_violations_are_collected_in_order():
+    # The outer base lets its interfaces I and J talk; the inner connection
+    # joins two receivers of ``a``; the outer connection O <-> P is fine.
+    outer = base(parse_global_type("P->Q: c; I->J: b"), ["P", "I", "J"])
+    inner = connect(base(parse_global_type("X->O: c; X->H2: a"), ["O", "H2"]), "H2",
+                    base(interaction("Y", "K2", "a"), ["K2"]), "K2")
+    violations = validate_gtir(connect(outer, "P", inner, "O"))
+    assert [type(v) for v in violations] == [InterfaceCommunication, IncompatibleInterfaces]
+    assert (str(violations[0].channel), violations[0].message.label) == ("IJ", "b")
+    assert (violations[1].h, violations[1].k) == (Role("H2"), Role("K2"))
+    assert [type(f) for f in violations[1].verdict.failures] == [LanguageMismatch]
+
+
+def test_each_role_is_projected_once_and_the_connection_decided_once(relay_expr, monkeypatch):
+    from importlib import import_module
+
+    # ``cfsmkit.compose`` is the function; the modules are reached by name.
+    compose_module = import_module("cfsmkit.compose")
+    gtir_module = import_module("cfsmkit.gtir")
+    calls = {"project": 0, "check_compatibility": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gtir_module, "project", counted("project", gtir_module.project))
+    monkeypatch.setattr(compose_module, "check_compatibility",
+                        counted("check_compatibility", compose_module.check_compatibility))
+    for run in (validate_gtir, semantics):
+        calls.update(project=0, check_compatibility=0)
+        run(relay_expr)
+        assert calls == {"project": 9, "check_compatibility": 1}, run.__name__
 
 
 # -- semantics ----------------------------------------------------------------

@@ -414,3 +414,21 @@ def test_render_trace_lines():
     assert lines[0].startswith("init ")
     assert lines[1].startswith("1. AB!a ")
     assert lines[2].startswith("2. AB?a ")
+
+
+def test_render_trace_follows_every_target_of_a_nondeterministic_step():
+    # A's first send may stay in s0 or move to s1; only s1 goes on to send a.
+    a = Cfsm.make("A", "s0", [
+        ("s0", Action.send("A", "B", "b"), "s0"),
+        ("s0", Action.send("A", "B", "b"), "s1"),
+        ("s1", Action.send("A", "B", "a"), "s0"),
+    ])
+    b = Cfsm.make("B", "t0", [("t0", Action.receive("A", "B", "b"), "t0")])
+    s = CommunicatingSystem({"A": a, "B": b})
+    verdict = check_safety(s, max_buffer_bound=1).unspecified_reception
+    assert [str(act) for act in verdict.witness] == ["AB!b", "AB?b", "AB!a"]
+    lines = render_trace(s, verdict.witness).splitlines()
+    assert [line.split()[1] for line in lines[1:]] == ["AB!b", "AB?b", "AB!a"]
+    assert lines[-1].split()[2] == verdict.witness_configuration.digest()
+    with pytest.raises(SystemMismatchError):
+        render_trace(s, [Action.send("A", "B", "a")])
