@@ -39,7 +39,8 @@ class MachineFormatError(CfsmError):
 # The value types below precompute their hash: building machines and systems
 # (transition sets, alphabets, role and channel lookups) hashes these objects
 # constantly, and the cached int keeps that cheap.  Exploration works on
-# packed ints and does not hash them.  Equality stays structural.
+# tuples of state names and message labels and does not hash them.  Equality
+# stays structural.
 
 @dataclass(frozen=True, slots=True, order=True)
 class Role:
@@ -455,6 +456,8 @@ def parse_machine(text: str) -> Cfsm:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MachineFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MachineFormatError("not valid JSON: nested too deeply") from None
     return machine_from_doc(doc)
 
 

@@ -63,7 +63,10 @@ def _read(path: str) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise _CliFailure(EXIT_PARSE, f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -164,6 +167,8 @@ def _load_check_input(args):
         expr = parse_gtir(text, registry)
     except ParseError as exc:
         raise _CliFailure(EXIT_PARSE, f"{args.file}: {exc}") from None
+    except GtirError as exc:  # a type file that cannot be read
+        raise _CliFailure(EXIT_PARSE, str(exc)) from None
     try:
         return semantics(expr), expr
     except GtirError as exc:

@@ -220,11 +220,16 @@ Registry = dict[str, GlobalType]
 
 
 def load_global_types(directory) -> Registry:
-    """Registry of named global types: every ``*.gt`` file, named by its stem."""
+    """Registry of named global types: every ``*.gt`` file, read as UTF-8 and
+    named by its stem.  A file that cannot be read raises GtirError naming it."""
     registry: Registry = {}
     for path in sorted(Path(directory).glob("*.gt")):
         try:
-            registry[path.stem] = parse_global_type(path.read_text())
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GtirError(f"cannot read {path}: {exc}") from None
+        try:
+            registry[path.stem] = parse_global_type(text)
         except ParseError as exc:
             raise ParseError(f"{path.name}: {exc.args[0]}", exc.line, exc.column) from None
     return registry

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from operator import getitem
 from typing import Optional
 
@@ -85,38 +86,34 @@ class SafetyReport:
         return all(v.status is VerdictStatus.SAFE_COMPLETE for v in self.verdicts().values())
 
 
-# Each predicate reads a packed configuration through the rows of its
-# ``PackedSystem``; the public ``is_*`` functions validate and pack first.
+# Each predicate reads a packed configuration through the ``moves`` table of
+# its ``PackedSystem``: a state is final when it has no moves, and receiving
+# when it has moves and none is a send.  The public ``is_*`` functions
+# validate and pack first.
 
 def _deadlock(p: PackedSystem, cfg: Packed) -> bool:
     return not any(cfg[len(p.roles):]) and all(
-        rows[state] is not None for rows, state in zip(p.receivable, cfg))
+        moves and not any(move[2] for move in moves) for moves in map(getitem, p.moves, cfg))
 
 
 def _orphan_message(p: PackedSystem, cfg: Packed) -> bool:
-    return all(map(getitem, p.final, cfg)) and any(cfg[len(p.roles):])
+    return not any(map(getitem, p.moves, cfg)) and any(cfg[len(p.roles):])
 
 
 def _unspecified_reception(p: PackedSystem, cfg: Packed) -> bool:
-    for rows, state in zip(p.receivable, cfg):
-        receivable = rows[state]
-        if receivable is None:
-            continue
-        # A receiving state has at least one receivable channel.
-        for slot, msgs in receivable:
+    # A receiving state is blocked when each of its receives faces a
+    # nonempty buffer headed by another message.
+    for moves in map(getitem, p.moves, cfg):
+        for _, _, is_send, slot, label in moves:
+            if is_send:
+                break
             buf = cfg[slot]
-            if not buf or buf[0] in msgs:
+            if not buf or buf[0] == label:
                 break
         else:
-            return True
+            if moves:
+                return True
     return False
-
-
-_PREDICATES = {
-    "deadlock": _deadlock,
-    "orphan_message": _orphan_message,
-    "unspecified_reception": _unspecified_reception,
-}
 
 
 def is_deadlock(s: CommunicatingSystem, c: Configuration) -> bool:
@@ -136,30 +133,24 @@ def is_unspecified_reception(s: CommunicatingSystem, c: Configuration) -> bool:
 
 
 def report_from_exploration(s: CommunicatingSystem, result: ExplorationResult) -> SafetyReport:
-    """Evaluate the three predicates over an exploration, in discovery order;
+    """Find each property's first violating configuration in discovery order;
     only witness paths are decoded."""
     safe_status = (VerdictStatus.SAFE_COMPLETE if result.complete
                    else VerdictStatus.SAFE_WITHIN_BOUND)
     p = result.packing
-    verdicts: dict[str, PropertyVerdict] = {}
-    pending = list(_PREDICATES.items())
-    for cfg in result.packed_parents:
-        hits = [name for name, holds in pending if holds(p, cfg)]
-        if not hits:
-            continue
+
+    def verdict(holds) -> PropertyVerdict:
+        cfg = next(filter(partial(holds, p), result.packed_parents), None)
+        if cfg is None:
+            return PropertyVerdict(safe_status)
         path = result.packed_path_to(cfg)
-        violation = PropertyVerdict(
+        return PropertyVerdict(
             VerdictStatus.VIOLATION,
             witness=tuple(act for act, _ in path),
             witness_configuration=p.decode(cfg),
             witness_digests=tuple(c.digest() for _, c in path),
         )
-        verdicts.update(dict.fromkeys(hits, violation))
-        pending = [(name, holds) for name, holds in pending if name not in verdicts]
-        if not pending:
-            break
-    for name, _ in pending:
-        verdicts[name] = PropertyVerdict(safe_status)
+
     stats = ExplorationStats(
         configurations=len(result.packed_parents),
         edges=result.edge_count,
@@ -168,9 +159,9 @@ def report_from_exploration(s: CommunicatingSystem, result: ExplorationResult) -
         state_budget_exhausted=result.state_budget_exhausted,
     )
     return SafetyReport(
-        deadlock=verdicts["deadlock"],
-        orphan_message=verdicts["orphan_message"],
-        unspecified_reception=verdicts["unspecified_reception"],
+        deadlock=verdict(_deadlock),
+        orphan_message=verdict(_orphan_message),
+        unspecified_reception=verdict(_unspecified_reception),
         stats=stats,
     )
 

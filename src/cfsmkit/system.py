@@ -154,45 +154,24 @@ def initial_configuration(s: CommunicatingSystem) -> Configuration:
     return Configuration.make({r: s[r].initial for r in s.roles})
 
 
-def _check_configuration(s: CommunicatingSystem, c: Configuration) -> None:
-    roles = set(s.roles)
-    seen = set()
-    for role, state in c.control:
-        if role not in roles:
-            raise SystemMismatchError(f"configuration mentions unknown role {role}")
-        if state not in s[role].states:
-            raise SystemMismatchError(f"state {state!r} is not a state of machine {role}")
-        seen.add(role)
-    if seen != roles:
-        missing = sorted(r.name for r in roles - seen)
-        raise SystemMismatchError(f"configuration lacks control states for {missing}")
-    for ch, _ in c.buffers:
-        if ch.sender not in roles or ch.receiver not in roles:
-            raise SystemMismatchError(f"configuration buffers unknown channel {ch}")
-
-
-#: A packed configuration: one state id per role, then one tuple of message
-#: ids per channel (see ``PackedSystem``).
+#: A packed configuration: each role's state name, in role order, then one
+#: tuple of message labels per channel slot (see ``PackedSystem``).
 Packed = tuple
 
 
 class PackedSystem:
-    """A system interned to small ints, the form exploration works on.
+    """A system in the flat form exploration works on.
 
-    Each role's states, the channels and the messages get ids in sorted-name
-    order, so no id depends on string hashing.  A packed configuration is one
-    flat tuple: one state id per role, in role order, then one tuple of
-    message ids per channel of ``channels``, in that order; an empty buffer
-    is ``()``.  Such tuples hash and compare in C, and the cyclic GC stops
-    tracking them.
+    A packed configuration is one flat tuple: each role's state name, in role
+    order, then one tuple of message labels per channel of ``channels``, in
+    sorted order; an empty buffer is ``()``.  Such tuples of strings hash and
+    compare in C, and the cyclic GC stops tracking them.
 
-    The per-role rows are indexed by state id:
-
-    * ``moves``: one ``(action_id, dst_id, is_send, slot, msg_id)`` per
-      outgoing transition, in the machine's canonical order;
-    * ``receivable``: for a receiving state, ``(slot, msg_ids)`` per channel
-      it can consume from; None for any other state;
-    * ``final``: whether the state has no outgoing transition.
+    ``moves`` holds, per role, each state's outgoing transitions as
+    ``(action_id, dst, is_send, slot, label)``, in the machine's canonical
+    order; action ids follow first use in that order, so no id depends on
+    string hashing.  It is the only per-state table: the successor function
+    and the safety predicates both read it.
 
     The channels are those some transition uses plus those ``extra`` buffers,
     so that a configuration given at the API boundary keeps a buffer on a
@@ -204,109 +183,87 @@ class PackedSystem:
         machines = [s[r] for r in roles]
         # Keyed by names: string keys hash and compare in C.
         channels: dict[tuple[str, str], Channel] = {}
-        messages: dict[str, Message] = {}
         for machine in machines:
             for _, act, _ in machine.transitions:
                 ch = act.channel
                 channels[ch.sender.name, ch.receiver.name] = ch
-                messages[act.message.label] = act.message
         if extra is not None:
-            for ch, msgs in extra.buffers:
+            for ch, _ in extra.buffers:
                 channels[ch.sender.name, ch.receiver.name] = ch
-                for m in msgs:
-                    messages[m.label] = m
-        n = len(roles)
         channel_keys = sorted(channels)
-        labels = sorted(messages)
         self.channels = tuple(channels[key] for key in channel_keys)
-        self.messages = tuple(messages[label] for label in labels)
-        self._slots = slots = {key: n + k for k, key in enumerate(channel_keys)}
-        self._message_ids = message_ids = {label: k for k, label in enumerate(labels)}
-        # An action is its (slot, is_send, msg_id); ids follow first use.
-        action_ids: dict[tuple[int, bool, int], int] = {}
+        self._slots = slots = {key: len(roles) + k for k, key in enumerate(channel_keys)}
+        # An action is its (slot, is_send, label); ids follow first use.
+        action_ids: dict[tuple[int, bool, str], int] = {}
         self._action_ids = action_ids
         actions: list[Action] = []
-        self._state_ids: list[dict[str, int]] = []
-        self._control: list[list[tuple[Role, str]]] = []  # by state id
-        self.moves: list[tuple[tuple[tuple[int, int, bool, int, int], ...], ...]] = []
-        self.receivable: list[list[Optional[tuple[tuple[int, frozenset[int]], ...]]]] = []
-        self.final: list[list[bool]] = []
-        initial = []
+        self.moves: list[dict[str, tuple[tuple[int, str, bool, int, str], ...]]] = []
         SEND = Direction.SEND
-        for role, machine in zip(roles, machines):
-            states = sorted(machine.states)
-            ids = {q: k for k, q in enumerate(states)}
-            moves, receivable, final = [], [], []
-            for q in states:
+        for machine in machines:
+            moves = {}
+            for q in sorted(machine.states):
                 row = []
-                sends = False
                 for _, act, dst in machine.outgoing(q):
                     ch = act.channel
                     slot = slots[ch.sender.name, ch.receiver.name]
-                    msg = message_ids[act.message.label]
+                    label = act.message.label
                     is_send = act.direction is SEND
-                    sends = sends or is_send
-                    action = action_ids.get((slot, is_send, msg))
+                    action = action_ids.get((slot, is_send, label))
                     if action is None:
-                        action = action_ids[slot, is_send, msg] = len(actions)
+                        action = action_ids[slot, is_send, label] = len(actions)
                         actions.append(act)
-                    row.append((action, ids[dst], is_send, slot, msg))
-                moves.append(tuple(row))
-                final.append(not row)
-                if row and not sends:  # a receiving state, as ``classify_state`` has it
-                    consumes: dict[int, set[int]] = {}
-                    for _, _, _, slot, msg in row:
-                        consumes.setdefault(slot, set()).add(msg)
-                    receivable.append(tuple((slot, frozenset(msgs))
-                                            for slot, msgs in consumes.items()))
-                else:
-                    receivable.append(None)
-            self._state_ids.append(ids)
-            self._control.append([(role, q) for q in states])
-            self.moves.append(tuple(moves))
-            self.receivable.append(receivable)
-            self.final.append(final)
-            initial.append(ids[machine.initial])
+                    row.append((action, dst, is_send, slot, label))
+                moves[q] = tuple(row)
+            self.moves.append(moves)
         self.actions: tuple[Action, ...] = tuple(actions)
-        self.initial: Packed = tuple(initial) + ((),) * len(self.channels)
+        self.initial: Packed = tuple(m.initial for m in machines) + ((),) * len(self.channels)
 
     def action_id(self, action: Action) -> Optional[int]:
         """The id of ``action``, or None when no transition performs it."""
         ch = action.channel
         return self._action_ids.get((self._slots.get((ch.sender.name, ch.receiver.name)),
                                      action.direction is Direction.SEND,
-                                     self._message_ids.get(action.message.label)))
+                                     action.message.label))
 
     def decode(self, cfg: Packed) -> Configuration:
         """The public, canonical form of a packed configuration."""
-        messages = self.messages
         return Configuration(
-            tuple(pairs[state] for pairs, state in zip(self._control, cfg)),
-            tuple((ch, tuple(messages[m] for m in buf))
+            tuple(zip(self.roles, cfg)),
+            tuple((ch, tuple(map(Message, buf)))
                   for ch, buf in zip(self.channels, cfg[len(self.roles):]) if buf),
         )
 
     def encode(self, c: Configuration) -> Packed:
-        """The packed form of ``c``; SystemMismatchError when it has no packed
-        form here."""
-        if tuple(r for r, _ in c.control) != self.roles:
+        """The packed form of ``c``; SystemMismatchError when ``c`` does not
+        belong to the system or has no packed form here."""
+        states = dict(zip(self.roles, self.moves))
+        for role, q in c.control:
+            if role not in states:
+                raise SystemMismatchError(f"configuration mentions unknown role {role}")
+            if q not in states[role]:
+                raise SystemMismatchError(f"state {q!r} is not a state of machine {role}")
+        missing = states.keys() - {role for role, _ in c.control}
+        if missing:
+            raise SystemMismatchError(
+                f"configuration lacks control states for {sorted(r.name for r in missing)}")
+        for ch, _ in c.buffers:
+            if ch.sender not in states or ch.receiver not in states:
+                raise SystemMismatchError(f"configuration buffers unknown channel {ch}")
+        if tuple(role for role, _ in c.control) != self.roles:
             raise SystemMismatchError("configuration control is not one state per role in role order")
+        cfg: list = [q for _, q in c.control] + [()] * len(self.channels)
         try:
-            cfg: list = [ids[q] for ids, (_, q) in zip(self._state_ids, c.control)]
-            cfg += [()] * len(self.channels)
             for ch, msgs in c.buffers:
-                cfg[self._slots[ch.sender.name, ch.receiver.name]] = tuple(
-                    self._message_ids[m.label] for m in msgs)
+                cfg[self._slots[ch.sender.name, ch.receiver.name]] = tuple(m.label for m in msgs)
         except KeyError:
             raise SystemMismatchError(f"configuration {c} does not fit the system") from None
         return tuple(cfg)
 
 
 def pack_configuration(s: CommunicatingSystem, c: Configuration) -> tuple[PackedSystem, Packed]:
-    """Check that ``c`` belongs to ``s``, then pack both.  A buffer on a
-    channel that no transition uses gets a slot of its own, so steps carry it
-    through unchanged."""
-    _check_configuration(s, c)
+    """Pack ``s`` and ``c``, or raise SystemMismatchError when ``c`` does not
+    belong to ``s``.  A buffer on a channel that no transition uses gets a
+    slot of its own, so steps carry it through unchanged."""
     packed = PackedSystem(s, c)
     return packed, packed.encode(c)
 
@@ -319,14 +276,14 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf
     out: list[tuple[int, Packed]] = []
     truncated = False
     for index, moves in enumerate(p.moves):
-        for action, dst, is_send, slot, msg in moves[cfg[index]]:
+        for action, dst, is_send, slot, label in moves[cfg[index]]:
             buf = cfg[slot]
             if is_send:
                 if len(buf) >= bound:
                     truncated = True
                     continue
-                buf = buf + (msg,)
-            elif buf and buf[0] == msg:
+                buf = buf + (label,)
+            elif buf and buf[0] == label:
                 buf = buf[1:]
             else:
                 continue
@@ -535,6 +492,8 @@ def parse_system(text: str) -> CommunicatingSystem:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MachineFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MachineFormatError("not valid JSON: nested too deeply") from None
     return system_from_doc(doc)
 
 

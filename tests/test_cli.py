@@ -309,3 +309,54 @@ def test_check_witness_is_identical_under_every_hash_seed(tmp_path):
         assert proc.returncode == 4, proc.stderr.decode()
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+
+
+def test_check_json_matches_the_golden_report(tmp_path, data_dir, capsys):
+    # The fan-in deadlock gives a report with a nonempty witness and digests.
+    path = tmp_path / "fan_in.system"
+    path.write_text(serialize_system(fan_in_deadlock_system()))
+    code, out, _ = run(capsys, "check", str(path), "--format", "json")
+    assert code == 4
+    assert out == (data_dir / "fan_in_deadlock.check.json").read_text()
+
+
+# -- inputs that must end in exit 2, not a traceback ----------------------------
+
+def assert_exits_2(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("cfsmkit: ")
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv", [("check", "mutual_wait.system"),
+                                  ("project", "relay.gt", "--role", "J")],
+                         ids=["check", "project"])
+def test_out_to_an_unwritable_path_exits_2(data_dir, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.txt"
+    command, name, *rest = argv
+    err = assert_exits_2(capsys, command, str(data_dir / name), *rest, "--out", str(out))
+    assert f"cannot write {out}" in err
+
+
+@pytest.mark.parametrize("name, make", [
+    ("bad.gt", lambda path: path.write_bytes(b"A->B: \xff\n")),
+    ("dir.gt", lambda path: path.mkdir()),
+], ids=["non-utf8", "directory"])
+def test_unreadable_type_file_exits_2(data_dir, tmp_path, capsys, name, make):
+    for path in [*data_dir.glob("*.gt"), data_dir / "composed.gtir"]:
+        (tmp_path / path.name).write_text(path.read_text())
+    make(tmp_path / name)
+    err = assert_exits_2(capsys, "check", str(tmp_path / "composed.gtir"))
+    assert name in err
+
+
+@pytest.mark.parametrize("command, key", [("check", "machines"), ("compat", "subject")],
+                         ids=["check", "compat"])
+def test_json_nested_past_the_recursion_limit_exits_2(data_dir, tmp_path, capsys, command, key):
+    path = tmp_path / "deep.json"
+    path.write_text('{"%s": %s%s}' % (key, "[" * 5000, "]" * 5000))
+    # ``compat`` parses its machine files with ``parse_machine``.
+    extra = [str(data_dir / "mk.cfsm")] if command == "compat" else []
+    assert_exits_2(capsys, command, str(path), *extra)

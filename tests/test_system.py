@@ -19,6 +19,7 @@ from cfsmkit import (
     enabled_actions,
     explore,
     initial_configuration,
+    is_deadlock,
     parse_system,
     semantics,
     serialize_system,
@@ -107,6 +108,15 @@ def test_step_rejects_foreign_configurations():
         step(s, cfg({"A": "q0"}), Action.send("A", "B", "a"))
     with pytest.raises(SystemMismatchError):
         step(s, cfg({"A": "nope", "B": "r0"}), Action.send("A", "B", "a"))
+    extra_role = cfg({"A": "q0", "B": "r0", "C": "s0"})
+    foreign_channel = cfg({"A": "q0", "B": "r0"}, {Channel(Role("A"), Role("C")): ["a"]})
+    for c, message in ((extra_role, "unknown role C"), (foreign_channel, "unknown channel AC")):
+        with pytest.raises(SystemMismatchError, match=message):
+            step(s, c, Action.send("A", "B", "a"))
+        with pytest.raises(SystemMismatchError, match=message):
+            enabled_actions(s, c)
+        with pytest.raises(SystemMismatchError, match=message):
+            is_deadlock(s, c)
 
 
 def test_step_returns_all_targets_of_a_nondeterministic_send():
