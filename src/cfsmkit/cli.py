@@ -13,6 +13,7 @@ was cut off (inconclusive).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -61,14 +62,23 @@ def _read(path: str) -> str:
         raise _CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _output(out: Optional[str]):
+    """Stdout, or the ``out`` file, opened on entry so that an unwritable path
+    fails before the work inside the block."""
+    if not out:
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w") as stream:
+            yield stream
+    except OSError as exc:
+        raise _CliFailure(EXIT_PARSE, f"cannot write {out}: {exc}") from None
+
+
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise _CliFailure(EXIT_PARSE, f"cannot write {out}: {exc}") from None
-    else:
-        sys.stdout.write(text)
+    with _output(out) as stream:
+        stream.write(text)
 
 
 def _default_bound() -> int:
@@ -167,7 +177,7 @@ def _load_check_input(args):
         expr = parse_gtir(text, registry)
     except ParseError as exc:
         raise _CliFailure(EXIT_PARSE, f"{args.file}: {exc}") from None
-    except GtirError as exc:  # a type file that cannot be read
+    except GtirError as exc:  # a type file that cannot be read or parsed
         raise _CliFailure(EXIT_PARSE, str(exc)) from None
     try:
         return semantics(expr), expr
@@ -186,28 +196,27 @@ def _base_systems(expr: GtirExpr):
 def _cmd_check(args) -> int:
     system, expr = _load_check_input(args)
     bound = args.bound if args.bound is not None else _default_bound()
-    reports: dict[str, SafetyReport] = {}
-    if args.check_base_safety and expr is not None:
-        for i, sub in enumerate(_base_systems(expr)):
-            reports[f"component-{i}"] = check_safety(
-                semantics(sub), max_buffer_bound=bound,
-                max_states=args.max_states, jobs=args.jobs)
-    report = check_safety(system, max_buffer_bound=bound,
-                          max_states=args.max_states, jobs=args.jobs)
-    reports["system"] = report
-
-    if args.format == "json":
-        doc = {
-            "schema": "cfsmkit.check/1",
-            "reports": {name: report_to_doc(r) for name, r in reports.items()},
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        chunks = []
-        for name, r in reports.items():
-            prefix = f"[{name}]\n" if len(reports) > 1 else ""
-            chunks.append(prefix + render_report(r))
-        _emit("\n".join(chunks), args.out)
+    with _output(args.out) as stream:
+        reports: dict[str, SafetyReport] = {}
+        if args.check_base_safety and expr is not None:
+            for i, sub in enumerate(_base_systems(expr)):
+                reports[f"component-{i}"] = check_safety(
+                    semantics(sub), max_buffer_bound=bound,
+                    max_states=args.max_states, jobs=args.jobs)
+        reports["system"] = check_safety(system, max_buffer_bound=bound,
+                                         max_states=args.max_states, jobs=args.jobs)
+        if args.format == "json":
+            doc = {
+                "schema": "cfsmkit.check/1",
+                "reports": {name: report_to_doc(r) for name, r in reports.items()},
+            }
+            stream.write(json.dumps(doc, indent=2) + "\n")
+        else:
+            chunks = []
+            for name, r in reports.items():
+                prefix = f"[{name}]\n" if len(reports) > 1 else ""
+                chunks.append(prefix + render_report(r))
+            stream.write("\n".join(chunks))
 
     if any(r.has_violation for r in reports.values()):
         return EXIT_VIOLATION

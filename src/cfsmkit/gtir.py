@@ -221,7 +221,8 @@ Registry = dict[str, GlobalType]
 
 def load_global_types(directory) -> Registry:
     """Registry of named global types: every ``*.gt`` file, read as UTF-8 and
-    named by its stem.  A file that cannot be read raises GtirError naming it."""
+    named by its stem.  A file that cannot be read or parsed raises GtirError
+    naming it."""
     registry: Registry = {}
     for path in sorted(Path(directory).glob("*.gt")):
         try:
@@ -231,7 +232,7 @@ def load_global_types(directory) -> Registry:
         try:
             registry[path.stem] = parse_global_type(text)
         except ParseError as exc:
-            raise ParseError(f"{path.name}: {exc.args[0]}", exc.line, exc.column) from None
+            raise GtirError(f"{path}: {exc}") from None
     return registry
 
 

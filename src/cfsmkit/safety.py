@@ -14,23 +14,27 @@ Three kinds of bad configuration are detected:
 reports, per property, either a violation with the breadth-first witness
 trace, or that the system is safe within the explored bound, or safe
 outright when the exploration was exhaustive.
+
+Each property is judged in one place: ``system._successors`` flags a
+configuration's violations as it expands it, and ``explore`` keeps each
+property's first violating configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from operator import getitem
 from typing import Optional
 
 from .cfsm import Action
 from .system import (
+    DEADLOCK,
+    ORPHAN_MESSAGE,
+    UNSPECIFIED_RECEPTION,
     CommunicatingSystem,
     Configuration,
     ExplorationResult,
-    Packed,
-    PackedSystem,
+    _successors,
     explore,
     pack_configuration,
 )
@@ -86,61 +90,31 @@ class SafetyReport:
         return all(v.status is VerdictStatus.SAFE_COMPLETE for v in self.verdicts().values())
 
 
-# Each predicate reads a packed configuration through the ``moves`` table of
-# its ``PackedSystem``: a state is final when it has no moves, and receiving
-# when it has moves and none is a send.  The public ``is_*`` functions
-# validate and pack first.
-
-def _deadlock(p: PackedSystem, cfg: Packed) -> bool:
-    return not any(cfg[len(p.roles):]) and all(
-        moves and not any(move[2] for move in moves) for moves in map(getitem, p.moves, cfg))
-
-
-def _orphan_message(p: PackedSystem, cfg: Packed) -> bool:
-    return not any(map(getitem, p.moves, cfg)) and any(cfg[len(p.roles):])
-
-
-def _unspecified_reception(p: PackedSystem, cfg: Packed) -> bool:
-    # A receiving state is blocked when each of its receives faces a
-    # nonempty buffer headed by another message.
-    for moves in map(getitem, p.moves, cfg):
-        for _, _, is_send, slot, label in moves:
-            if is_send:
-                break
-            buf = cfg[slot]
-            if not buf or buf[0] == label:
-                break
-        else:
-            if moves:
-                return True
-    return False
-
-
 def is_deadlock(s: CommunicatingSystem, c: Configuration) -> bool:
     """All buffers empty and every machine in a receiving state."""
-    return _deadlock(*pack_configuration(s, c))
+    return bool(_successors(*pack_configuration(s, c))[2] & DEADLOCK)
 
 
 def is_orphan_message(s: CommunicatingSystem, c: Configuration) -> bool:
     """Every machine final, yet some buffer nonempty."""
-    return _orphan_message(*pack_configuration(s, c))
+    return bool(_successors(*pack_configuration(s, c))[2] & ORPHAN_MESSAGE)
 
 
 def is_unspecified_reception(s: CommunicatingSystem, c: Configuration) -> bool:
     """Some receiving machine finds, on every channel it could consume from,
     a nonempty buffer whose head it cannot receive in its current state."""
-    return _unspecified_reception(*pack_configuration(s, c))
+    return bool(_successors(*pack_configuration(s, c))[2] & UNSPECIFIED_RECEPTION)
 
 
 def report_from_exploration(s: CommunicatingSystem, result: ExplorationResult) -> SafetyReport:
-    """Find each property's first violating configuration in discovery order;
-    only witness paths are decoded."""
+    """Verdicts from the first violating configuration of each property that
+    ``explore`` noted; only witness paths are decoded."""
     safe_status = (VerdictStatus.SAFE_COMPLETE if result.complete
                    else VerdictStatus.SAFE_WITHIN_BOUND)
     p = result.packing
 
-    def verdict(holds) -> PropertyVerdict:
-        cfg = next(filter(partial(holds, p), result.packed_parents), None)
+    def verdict(bit: int) -> PropertyVerdict:
+        cfg = result.first_violations.get(bit)
         if cfg is None:
             return PropertyVerdict(safe_status)
         path = result.packed_path_to(cfg)
@@ -159,9 +133,9 @@ def report_from_exploration(s: CommunicatingSystem, result: ExplorationResult) -
         state_budget_exhausted=result.state_budget_exhausted,
     )
     return SafetyReport(
-        deadlock=verdict(_deadlock),
-        orphan_message=verdict(_orphan_message),
-        unspecified_reception=verdict(_unspecified_reception),
+        deadlock=verdict(DEADLOCK),
+        orphan_message=verdict(ORPHAN_MESSAGE),
+        unspecified_reception=verdict(UNSPECIFIED_RECEPTION),
         stats=stats,
     )
 

@@ -155,27 +155,36 @@ def initial_configuration(s: CommunicatingSystem) -> Configuration:
 
 
 #: A packed configuration: each role's state name, in role order, then one
-#: tuple of message labels per channel slot (see ``PackedSystem``).
+#: string of message codes per channel slot (see ``PackedSystem``).
 Packed = tuple
+
+#: The bits of the safety properties a configuration violates, as the third
+#: value of ``_successors`` reports them.
+DEADLOCK = 1
+ORPHAN_MESSAGE = 2
+UNSPECIFIED_RECEPTION = 4
 
 
 class PackedSystem:
     """A system in the flat form exploration works on.
 
     A packed configuration is one flat tuple: each role's state name, in role
-    order, then one tuple of message labels per channel of ``channels``, in
-    sorted order; an empty buffer is ``()``.  Such tuples of strings hash and
-    compare in C, and the cyclic GC stops tracking them.
+    order, then one buffer per channel of ``channels``, in sorted order.  A
+    buffer is a string with one character per message, the label's code: the
+    label's position ``i`` in the sorted labels, as ``chr(i)``; an empty
+    buffer is ``""``.  Such tuples of strings hash and compare in C, the
+    cyclic GC stops tracking them, and a buffer caches its hash.
 
     ``moves`` holds, per role, each state's outgoing transitions as
-    ``(action_id, dst, is_send, slot, label)``, in the machine's canonical
-    order; action ids follow first use in that order, so no id depends on
-    string hashing.  It is the only per-state table: the successor function
-    and the safety predicates both read it.
+    ``(action_id, dst, is_send, slot, code)``, in the machine's canonical
+    order; action ids follow first use in that order, so no id or code
+    depends on string hashing.  It is the only per-state table, and
+    ``_successors`` is the only code that reads it to judge a configuration.
 
-    The channels are those some transition uses plus those ``extra`` buffers,
-    so that a configuration given at the API boundary keeps a buffer on a
-    channel that no transition uses.
+    The channels are those some transition uses, and the labels those of the
+    machines' alphabets, plus those of ``extra``'s buffers, so that a
+    configuration given at the API boundary keeps a buffer on a channel, or a
+    label, that no transition uses.
     """
 
     def __init__(self, s: CommunicatingSystem, extra: Optional[Configuration] = None):
@@ -183,16 +192,20 @@ class PackedSystem:
         machines = [s[r] for r in roles]
         # Keyed by names: string keys hash and compare in C.
         channels: dict[tuple[str, str], Channel] = {}
+        labels = {m.label for machine in machines for m in machine.messages}
         for machine in machines:
             for _, act, _ in machine.transitions:
                 ch = act.channel
                 channels[ch.sender.name, ch.receiver.name] = ch
         if extra is not None:
-            for ch, _ in extra.buffers:
+            for ch, msgs in extra.buffers:
                 channels[ch.sender.name, ch.receiver.name] = ch
+                labels.update(m.label for m in msgs)
         channel_keys = sorted(channels)
         self.channels = tuple(channels[key] for key in channel_keys)
         self._slots = slots = {key: len(roles) + k for k, key in enumerate(channel_keys)}
+        self._codes = codes = {label: chr(i) for i, label in enumerate(sorted(labels))}
+        self._messages = {code: Message(label) for label, code in codes.items()}
         # An action is its (slot, is_send, label); ids follow first use.
         action_ids: dict[tuple[int, bool, str], int] = {}
         self._action_ids = action_ids
@@ -212,11 +225,11 @@ class PackedSystem:
                     if action is None:
                         action = action_ids[slot, is_send, label] = len(actions)
                         actions.append(act)
-                    row.append((action, dst, is_send, slot, label))
+                    row.append((action, dst, is_send, slot, codes[label]))
                 moves[q] = tuple(row)
             self.moves.append(moves)
         self.actions: tuple[Action, ...] = tuple(actions)
-        self.initial: Packed = tuple(m.initial for m in machines) + ((),) * len(self.channels)
+        self.initial: Packed = tuple(m.initial for m in machines) + ("",) * len(self.channels)
 
     def action_id(self, action: Action) -> Optional[int]:
         """The id of ``action``, or None when no transition performs it."""
@@ -227,9 +240,10 @@ class PackedSystem:
 
     def decode(self, cfg: Packed) -> Configuration:
         """The public, canonical form of a packed configuration."""
+        messages = self._messages
         return Configuration(
             tuple(zip(self.roles, cfg)),
-            tuple((ch, tuple(map(Message, buf)))
+            tuple((ch, tuple(map(messages.__getitem__, buf)))
                   for ch, buf in zip(self.channels, cfg[len(self.roles):]) if buf),
         )
 
@@ -251,10 +265,12 @@ class PackedSystem:
                 raise SystemMismatchError(f"configuration buffers unknown channel {ch}")
         if tuple(role for role, _ in c.control) != self.roles:
             raise SystemMismatchError("configuration control is not one state per role in role order")
-        cfg: list = [q for _, q in c.control] + [()] * len(self.channels)
+        cfg: list = [q for _, q in c.control] + [""] * len(self.channels)
+        codes = self._codes
         try:
             for ch, msgs in c.buffers:
-                cfg[self._slots[ch.sender.name, ch.receiver.name]] = tuple(m.label for m in msgs)
+                cfg[self._slots[ch.sender.name, ch.receiver.name]] = "".join(
+                    codes[m.label] for m in msgs)
         except KeyError:
             raise SystemMismatchError(f"configuration {c} does not fit the system") from None
         return tuple(cfg)
@@ -269,21 +285,37 @@ def pack_configuration(s: CommunicatingSystem, c: Configuration) -> tuple[Packed
 
 
 def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf
-                ) -> tuple[list[tuple[int, Packed]], bool]:
+                ) -> tuple[list[tuple[int, Packed]], bool, int]:
     """Every step from ``cfg`` as ``(action_id, successor)`` (one action may
-    have several targets when the machine is nondeterministic), and whether a
-    send was suppressed because its buffer already held ``bound`` messages."""
+    have several targets when the machine is nondeterministic), whether a
+    send was suppressed because its buffer already held ``bound`` messages,
+    and the bits of the safety properties (see ``safety``) ``cfg`` violates.
+    A state with no moves is final, one with moves but no send is receiving,
+    and a receiving state is blocked when each of its receives faces a buffer
+    headed by another message."""
     out: list[tuple[int, Packed]] = []
     truncated = False
+    final = receiving = True
+    blocked = False
     for index, moves in enumerate(p.moves):
-        for action, dst, is_send, slot, label in moves[cfg[index]]:
+        row = moves[cfg[index]]
+        if not row:
+            receiving = False
+            continue
+        final = sends = free = False
+        for action, dst, is_send, slot, code in row:
             buf = cfg[slot]
             if is_send:
+                sends = True
                 if len(buf) >= bound:
                     truncated = True
                     continue
-                buf = buf + (label,)
-            elif buf and buf[0] == label:
+                buf += code
+            elif not buf:
+                free = True
+                continue
+            elif buf[0] == code:
+                free = True
                 buf = buf[1:]
             else:
                 continue
@@ -291,7 +323,14 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf
             nxt[index] = dst
             nxt[slot] = buf
             out.append((action, tuple(nxt)))
-    return out, truncated
+        if sends:
+            receiving = False
+        elif not free:
+            blocked = True
+    if final or receiving:  # deadlock needs empty buffers, orphan message a queued one
+        queued = any(cfg[len(p.moves):])
+        final, receiving = final and queued, receiving and not queued
+    return out, truncated, DEADLOCK * receiving | ORPHAN_MESSAGE * final | UNSPECIFIED_RECEPTION * blocked
 
 
 def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[Configuration]:
@@ -326,9 +365,11 @@ class ExplorationResult:
     ``packed_parents`` maps each explored packed configuration, in
     breadth-first discovery order, to the packed configuration and action id
     that first reached it (``None`` for the initial one); ``edge_count``
-    counts the steps the walk took between explored configurations.  The
-    public views (``parents``, ``reachable``, ``discovery_order``,
-    ``transition_edges``, ``path_to``) decode on demand.
+    counts the steps the walk took between explored configurations.
+    ``first_violations`` maps each safety property's bit to its first
+    violating configuration in discovery order.  The public views
+    (``parents``, ``reachable``, ``discovery_order``, ``transition_edges``,
+    ``path_to``) decode on demand.
     """
 
     frontier_truncated: bool
@@ -337,6 +378,7 @@ class ExplorationResult:
     packed_parents: dict[Packed, Optional[tuple[Packed, int]]] = field(repr=False)
     edge_count: int
     packing: PackedSystem = field(repr=False)
+    first_violations: dict[int, Packed] = field(repr=False)
 
     @cached_property
     def _decoded(self) -> dict[Packed, Configuration]:
@@ -417,22 +459,31 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
 
     Sends into a full buffer are suppressed (flagging ``frontier_truncated``)
     and the walk aborts, flagging ``state_budget_exhausted``, rather than
-    admit more than ``max_states`` configurations.  ``jobs`` is accepted for
-    compatibility and ignored: the walk is sequential.
+    admit more than ``max_states`` configurations.  Violations are noted as
+    configurations are expanded, and, after an aborted walk, for those never
+    expanded.  ``jobs`` is accepted for compatibility and ignored.
     """
     if max_buffer_bound < 1 or max_states < 1:
         raise ValueError("bounds must be at least 1")
     p = PackedSystem(s)
     parents: dict[Packed, Optional[tuple[Packed, int]]] = {p.initial: None}
+    first: dict[int, Packed] = {}
+
+    def note(flags: int, cfg: Packed) -> None:
+        first.update((bit, cfg) for bit in (DEADLOCK, ORPHAN_MESSAGE, UNSPECIFIED_RECEPTION)
+                     if flags & bit and bit not in first)
+
     edges = 0
     truncated = False
     exhausted = False
     frontier: list[Packed] = [p.initial]
     while frontier and not exhausted:
         next_frontier: list[Packed] = []
-        for cfg in frontier:
-            succ, cut = _successors(p, cfg, max_buffer_bound)
+        for i, cfg in enumerate(frontier):
+            succ, cut, flags = _successors(p, cfg, max_buffer_bound)
             truncated = truncated or cut
+            if flags:
+                note(flags, cfg)
             for act, nxt in succ:
                 if nxt not in parents:
                     if len(parents) >= max_states:
@@ -442,6 +493,9 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
                     next_frontier.append(nxt)
                 edges += 1
             if exhausted:
+                # Admitted but never expanded, in discovery order.
+                for late in frontier[i + 1:] + next_frontier:
+                    note(_successors(p, late)[2], late)
                 break
         frontier = next_frontier
     return ExplorationResult(
@@ -451,6 +505,7 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
         packed_parents=parents,
         edge_count=edges,
         packing=p,
+        first_violations=first,
     )
 
 

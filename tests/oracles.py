@@ -38,7 +38,7 @@ def erased_words_up_to(aut: ErasedAutomaton, max_len: int) -> frozenset[tuple]:
     return frozenset(words)
 
 
-def _plain_system(s: CommunicatingSystem):
+def plain_system(s: CommunicatingSystem):
     """Strip a system down to strings and tuples."""
     roles = tuple(r.name for r in s.roles)
     tables = {}
@@ -97,7 +97,7 @@ def naive_reachable(s: CommunicatingSystem, bound: int,
     receiver), messages))`` over names, with empty buffers omitted.  Returns
     the set and whether some send was skipped at the bound.
     """
-    roles, tables, initial = _plain_system(s)
+    roles, tables, initial = plain_system(s)
     start = (initial, ())
     seen = {start}
     stack = [start]
@@ -114,16 +114,15 @@ def naive_reachable(s: CommunicatingSystem, bound: int,
     return frozenset(seen), truncated
 
 
-def naive_bounded_safety(s: CommunicatingSystem, bound: int,
-                         max_configs: int = 500_000) -> dict[str, bool]:
-    """Re-derive the three safety verdicts with a from-scratch search.
+def naive_violations(roles, tables, cfg) -> frozenset[str]:
+    """The safety properties the plain configuration ``cfg`` violates, by
+    name: ``deadlock``, ``orphan_message`` and ``unspecified_reception``.
 
-    Uses the same bounded semantics (sends into a full buffer are skipped)
-    but its own data representation, successor code, and predicate logic.
-    Returns whether a violating configuration of each kind is reachable.
+    ``roles`` and ``tables`` come from ``plain_system``; ``cfg`` is as in
+    ``naive_reachable``.
     """
-    roles, tables, initial = _plain_system(s)
-    start = (initial, ())  # (state per role, sorted tuple of (channel, msgs))
+    states, bufs = cfg
+    bufmap = dict(bufs)
 
     def classify(role: str, state: str) -> str:
         entries = tables[role][state]
@@ -136,21 +135,17 @@ def naive_bounded_safety(s: CommunicatingSystem, bound: int,
             return "receiving"
         return "mixed"
 
-    def deadlock(cfg) -> bool:
-        states, bufs = cfg
+    def deadlock() -> bool:
         if bufs:
             return False
         return all(classify(roles[i], states[i]) == "receiving" for i in range(len(roles)))
 
-    def orphan(cfg) -> bool:
-        states, bufs = cfg
+    def orphan() -> bool:
         if not bufs:
             return False
         return all(classify(roles[i], states[i]) == "final" for i in range(len(roles)))
 
-    def unspecified(cfg) -> bool:
-        states, bufs = cfg
-        bufmap = dict(bufs)
+    def unspecified() -> bool:
         for i, role in enumerate(roles):
             if classify(role, states[i]) != "receiving":
                 continue
@@ -168,17 +163,29 @@ def naive_bounded_safety(s: CommunicatingSystem, bound: int,
                 return True
         return False
 
+    return frozenset(name for name, holds in (("deadlock", deadlock), ("orphan_message", orphan),
+                                              ("unspecified_reception", unspecified))
+                     if holds())
+
+
+def naive_bounded_safety(s: CommunicatingSystem, bound: int,
+                         max_configs: int = 500_000) -> dict[str, bool]:
+    """Re-derive the three safety verdicts with a from-scratch search.
+
+    Uses the same bounded semantics (sends into a full buffer are skipped)
+    but its own data representation, successor code, and predicate logic.
+    Returns whether a violating configuration of each kind is reachable.
+    """
+    roles, tables, initial = plain_system(s)
+    start = (initial, ())  # (state per role, sorted tuple of (channel, msgs))
+
     found = {"deadlock": False, "orphan_message": False, "unspecified_reception": False}
     seen = {start}
     stack = [start]
     while stack:
         cfg = stack.pop()
-        if deadlock(cfg):
-            found["deadlock"] = True
-        if orphan(cfg):
-            found["orphan_message"] = True
-        if unspecified(cfg):
-            found["unspecified_reception"] = True
+        for name in naive_violations(roles, tables, cfg):
+            found[name] = True
         if all(found.values()):
             break
         for nxt in _plain_successors(roles, tables, bound, cfg)[0]:

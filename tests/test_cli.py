@@ -360,3 +360,38 @@ def test_json_nested_past_the_recursion_limit_exits_2(data_dir, tmp_path, capsys
     # ``compat`` parses its machine files with ``parse_machine``.
     extra = [str(data_dir / "mk.cfsm")] if command == "compat" else []
     assert_exits_2(capsys, command, str(path), *extra)
+
+
+def test_type_file_parse_error_names_that_file_once(data_dir, tmp_path, capsys):
+    for path in [*data_dir.glob("*.gt"), data_dir / "composed.gtir"]:
+        (tmp_path / path.name).write_text(path.read_text())
+    (tmp_path / "broken.gt").write_text("A->B x\n")
+    err = assert_exits_2(capsys, "check", str(tmp_path / "composed.gtir"))
+    assert err == f"cfsmkit: {tmp_path / 'broken.gt'}: line 1, column 6: expected ':', found 'x'\n"
+
+
+def test_check_reports_an_unwritable_out_before_exploring(data_dir, tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("explored before opening --out")
+
+    monkeypatch.setattr("cfsmkit.cli.check_safety", unreachable)
+    out = tmp_path / "missing" / "out.txt"
+    err = assert_exits_2(capsys, "check", str(data_dir / "composed.gtir"), "--bound", "5",
+                         "--out", str(out))
+    assert f"cannot write {out}" in err
+
+
+@pytest.mark.parametrize("name, text, code", [
+    ("bad.system", '{"machines": 1}', 2),
+    ("bad.gtir", "connect base relay interfaces {I, J, H} via H <-> K "
+                 "base alternator interfaces {K}\n", 3),
+], ids=["unparseable", "invalid-expression"])
+def test_check_leaves_out_untouched_when_the_input_fails(data_dir, tmp_path, capsys,
+                                                          name, text, code):
+    (tmp_path / name).write_text(text)
+    out = tmp_path / "out.txt"
+    out.write_text("earlier report\n")
+    got, _, err = run(capsys, "check", str(tmp_path / name), "--types", str(data_dir),
+                      "--out", str(out))
+    assert got == code and "Traceback" not in err
+    assert out.read_text() == "earlier report\n"

@@ -20,14 +20,17 @@ from cfsmkit import (
     explore,
     initial_configuration,
     is_deadlock,
+    is_orphan_message,
+    is_unspecified_reception,
     parse_system,
     semantics,
     serialize_system,
     step,
 )
+from cfsmkit.safety import report_from_exploration
 from cfsmkit.system import render_trace
 from generators import random_machine
-from oracles import naive_bounded_safety, naive_reachable
+from oracles import naive_bounded_safety, naive_reachable, naive_violations, plain_system
 
 
 def handoff_system():
@@ -397,6 +400,71 @@ def replay(s: CommunicatingSystem, trace, digests) -> frozenset[Configuration]:
         current = frozenset(nxt for c in current for nxt in step(s, c, act))
         assert digest in {c.digest() for c in current}, f"step {i} ({act})"
     return current
+
+
+def unplain(s: CommunicatingSystem, cfg) -> Configuration:
+    states, bufs = cfg
+    return Configuration.make(dict(zip(s.roles, states)),
+                              {Channel(Role(a), Role(b)): msgs for (a, b), msgs in bufs})
+
+
+PREDICATES = {"deadlock": is_deadlock, "orphan_message": is_orphan_message,
+              "unspecified_reception": is_unspecified_reception}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems(), st.data())
+def test_predicates_agree_with_the_oracle(s, data):
+    roles, tables, _ = plain_system(s)
+    configs = set().union(*(naive_reachable(s, bound)[0] for bound in (1, 2, 3)))
+    # Buffers the walk cannot fill, possibly with a label no transition uses.
+    channels = [(a.name, b.name) for a in s.roles for b in s.roles if a != b]
+    queues = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3).map(tuple)
+    for _ in range(5):
+        states = tuple(data.draw(st.sampled_from(sorted(s[r].states))) for r in s.roles)
+        bufs = data.draw(st.dictionaries(st.sampled_from(channels), queues))
+        configs.add((states, tuple(sorted(bufs.items()))))
+    for cfg in configs:
+        c = unplain(s, cfg)
+        expected = naive_violations(roles, tables, cfg)
+        for name, holds in PREDICATES.items():
+            assert holds(s, c) == (name in expected), (name, str(c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems(), st.integers(1, 2))
+def test_verdicts_under_every_state_budget(s, bound):
+    # Each verdict names the first configuration in discovery order that the
+    # oracle flags, also when the budget stops the walk before it expands
+    # every admitted configuration.
+    roles, tables, _ = plain_system(s)
+    full = explore(s, max_buffer_bound=bound)
+    flagged = {c: naive_violations(roles, tables, plain(c)) for c in full.discovery_order}
+    for budget in range(1, len(flagged) + 1):
+        result = explore(s, max_buffer_bound=bound, max_states=budget)
+        report = report_from_exploration(s, result)
+        for name in PREDICATES:
+            first = next((c for c in result.discovery_order if name in flagged[c]), None)
+            verdict = getattr(report, name)
+            assert verdict.violated == (first is not None)
+            assert verdict.witness_configuration == first
+
+
+def test_violation_in_a_configuration_admitted_but_never_expanded():
+    # A's first send ends in an orphan message; its second starts a pump.
+    # With room for two configurations, the walk admits the orphan and stops
+    # at the pump before expanding it.
+    a = Cfsm.make("A", "q0", [("q0", Action.send("A", "B", "a"), "q1"),
+                              ("q0", Action.send("A", "B", "b"), "q2"),
+                              ("q2", Action.send("A", "B", "b"), "q2")])
+    s = CommunicatingSystem({"A": a, "B": Cfsm.make("B", "r0")})
+    orphan = cfg({"A": "q1", "B": "r0"}, {AB: ["a"]})
+    result = explore(s, max_states=2)
+    assert result.state_budget_exhausted
+    assert result.discovery_order == (initial_configuration(s), orphan)
+    report = report_from_exploration(s, result)
+    assert report.orphan_message.witness_configuration == orphan
+    assert not report.deadlock.violated and not report.unspecified_reception.violated
 
 
 # -- serialization and traces -------------------------------------------------
