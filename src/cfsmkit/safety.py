@@ -16,8 +16,12 @@ trace, or that the system is safe within the explored bound, or safe
 outright when the exploration was exhaustive.
 
 Each property is judged in one place: ``system._successors`` flags a
-configuration's violations as it expands it, and ``explore`` keeps each
-property's first violating configuration.
+configuration's violations as it expands it, in the same pass over the row of
+moves of the configuration's control vector, and ``explore`` keeps each
+property's first violating configuration.  Which roles are final or
+receiving depends on the control vector alone, so a row records it once for
+every configuration that shares that vector; only "blocked" looks at the
+buffers.
 """
 
 from __future__ import annotations

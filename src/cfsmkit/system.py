@@ -154,9 +154,14 @@ def initial_configuration(s: CommunicatingSystem) -> Configuration:
     return Configuration.make({r: s[r].initial for r in s.roles})
 
 
-#: A packed configuration: each role's state name, in role order, then one
+#: A packed configuration: the control vector as one mixed-radix int, then one
 #: string of message codes per channel slot (see ``PackedSystem``).
 Packed = tuple
+
+#: One outgoing transition of a state: (action_id, delta, is_send, slot, code,
+#: bit), and the row of a control vector (see ``PackedSystem``).
+Move = tuple[int, int, bool, int, str, int]
+Row = tuple[tuple[Move, ...], bool, bool, int]
 
 #: The bits of the safety properties a configuration violates, as the third
 #: value of ``_successors`` reports them.
@@ -168,18 +173,28 @@ UNSPECIFIED_RECEPTION = 4
 class PackedSystem:
     """A system in the flat form exploration works on.
 
-    A packed configuration is one flat tuple: each role's state name, in role
-    order, then one buffer per channel of ``channels``, in sorted order.  A
-    buffer is a string with one character per message, the label's code: the
-    label's position ``i`` in the sorted labels, as ``chr(i)``; an empty
-    buffer is ``""``.  Such tuples of strings hash and compare in C, the
-    cyclic GC stops tracking them, and a buffer caches its hash.
+    A packed configuration is one flat tuple: the control vector, then one
+    buffer per channel of ``channels``, in sorted order.  The control vector
+    is one mixed-radix int, the sum over roles of the index of the role's
+    state in ``states[r]`` (the machine's states, sorted) times the product
+    of the earlier roles' state counts.  A buffer is a string with one
+    character per message, the label's code: the label's position ``i`` in
+    the sorted labels, as ``chr(i)``; an empty buffer is ``""``.  Such tuples
+    hash and compare in C, the cyclic GC stops tracking them, and a buffer
+    caches its hash.
 
-    ``moves`` holds, per role, each state's outgoing transitions as
-    ``(action_id, dst, is_send, slot, code)``, in the machine's canonical
-    order; action ids follow first use in that order, so no id or code
-    depends on string hashing.  It is the only per-state table, and
-    ``_successors`` is the only code that reads it to judge a configuration.
+    ``moves[r][i]`` holds the outgoing transitions of state ``states[r][i]``
+    as ``(action_id, delta, is_send, slot, code, bit)``, in the machine's
+    canonical order: ``delta`` is what the move adds to the control vector,
+    and ``bit`` is the role's bit ``1 << r`` when the state is receiving (it
+    has moves and none of them sends), else 0.  Action ids follow first use
+    in that order, so no id or code depends on string hashing.
+
+    ``rows`` maps each control vector met so far to its ``row``: every
+    role's moves, concatenated in role order, whether every role is final
+    (has no moves), whether every role is receiving, and the mask of the
+    receiving roles' bits.  ``_successors`` is the only code that reads rows
+    to judge a configuration.
 
     The channels are those some transition uses, and the labels those of the
     machines' alphabets, plus those of ``extra``'s buffers, so that a
@@ -189,10 +204,10 @@ class PackedSystem:
 
     def __init__(self, s: CommunicatingSystem, extra: Optional[Configuration] = None):
         self.roles = roles = s.roles
-        machines = [s[r] for r in roles]
+        machines = [s._machines[r] for r in roles]
         # Keyed by names: string keys hash and compare in C.
         channels: dict[tuple[str, str], Channel] = {}
-        labels = {m.label for machine in machines for m in machine.messages}
+        messages = {m.label: m for machine in machines for m in machine.messages}
         for machine in machines:
             for _, act, _ in machine.transitions:
                 ch = act.channel
@@ -200,23 +215,40 @@ class PackedSystem:
         if extra is not None:
             for ch, msgs in extra.buffers:
                 channels[ch.sender.name, ch.receiver.name] = ch
-                labels.update(m.label for m in msgs)
+                for m in msgs:
+                    messages.setdefault(m.label, m)
         channel_keys = sorted(channels)
-        self.channels = tuple(channels[key] for key in channel_keys)
-        self._slots = slots = {key: len(roles) + k for k, key in enumerate(channel_keys)}
-        self._codes = codes = {label: chr(i) for i, label in enumerate(sorted(labels))}
-        self._messages = {code: Message(label) for label, code in codes.items()}
+        self.channels = tuple([channels[key] for key in channel_keys])
+        self._slots = slots = {key: 1 + k for k, key in enumerate(channel_keys)}
+        labels = sorted(messages)
+        self._codes = codes = {label: chr(i) for i, label in enumerate(labels)}
+        self._messages = {codes[label]: messages[label] for label in labels}
         # An action is its (slot, is_send, label); ids follow first use.
         action_ids: dict[tuple[int, bool, str], int] = {}
         self._action_ids = action_ids
         actions: list[Action] = []
-        self.moves: list[dict[str, tuple[tuple[int, str, bool, int, str], ...]]] = []
+        self.states: list[tuple[str, ...]] = []
+        # Per role, each state's index times the role's weight in the radix.
+        self._places: list[dict[str, int]] = []
+        self.moves: list[list[tuple[Move, ...]]] = []
         SEND = Direction.SEND
-        for machine in machines:
-            moves = {}
-            for q in sorted(machine.states):
+        weight = 1
+        initial = 0
+        for r, machine in enumerate(machines):
+            states = tuple(sorted(machine.states))
+            places = dict(zip(states, range(0, len(states) * weight, weight)))
+            outgoing = machine._outgoing
+            moves = []
+            for q in states:
+                ts = outgoing.get(q, ())
+                bit = 1 << r if ts else 0
+                for _, act, _ in ts:
+                    if act.direction is SEND:
+                        bit = 0
+                        break
+                src = places[q]
                 row = []
-                for _, act, dst in machine.outgoing(q):
+                for _, act, dst in ts:
                     ch = act.channel
                     slot = slots[ch.sender.name, ch.receiver.name]
                     label = act.message.label
@@ -225,11 +257,29 @@ class PackedSystem:
                     if action is None:
                         action = action_ids[slot, is_send, label] = len(actions)
                         actions.append(act)
-                    row.append((action, dst, is_send, slot, codes[label]))
-                moves[q] = tuple(row)
+                    row.append((action, places[dst] - src, is_send, slot, codes[label], bit))
+                moves.append(tuple(row))
+            self.states.append(states)
+            self._places.append(places)
             self.moves.append(moves)
+            initial += places[machine.initial]
+            weight *= len(states)
         self.actions: tuple[Action, ...] = tuple(actions)
-        self.initial: Packed = tuple(m.initial for m in machines) + ("",) * len(self.channels)
+        self.initial: Packed = (initial,) + ("",) * len(self.channels)
+        self.rows: dict[int, Row] = {}
+
+    def row(self, control: int) -> Row:
+        """Build and store in ``rows`` the row of control vector ``control``."""
+        moves: tuple[Move, ...] = ()
+        rest = control
+        for table in self.moves:
+            rest, i = divmod(rest, len(table))
+            moves += table[i]
+        mask = 0
+        for move in moves:
+            mask |= move[5]
+        row = self.rows[control] = (moves, not moves, mask == (1 << len(self.roles)) - 1, mask)
+        return row
 
     def action_id(self, action: Action) -> Optional[int]:
         """The id of ``action``, or None when no transition performs it."""
@@ -240,32 +290,37 @@ class PackedSystem:
 
     def decode(self, cfg: Packed) -> Configuration:
         """The public, canonical form of a packed configuration."""
+        control = cfg[0]
+        states = []
+        for names in self.states:
+            control, i = divmod(control, len(names))
+            states.append(names[i])
         messages = self._messages
         return Configuration(
-            tuple(zip(self.roles, cfg)),
+            tuple(zip(self.roles, states)),
             tuple((ch, tuple(map(messages.__getitem__, buf)))
-                  for ch, buf in zip(self.channels, cfg[len(self.roles):]) if buf),
+                  for ch, buf in zip(self.channels, cfg[1:]) if buf),
         )
 
     def encode(self, c: Configuration) -> Packed:
         """The packed form of ``c``; SystemMismatchError when ``c`` does not
         belong to the system or has no packed form here."""
-        states = dict(zip(self.roles, self.moves))
+        places = dict(zip(self.roles, self._places))
         for role, q in c.control:
-            if role not in states:
+            if role not in places:
                 raise SystemMismatchError(f"configuration mentions unknown role {role}")
-            if q not in states[role]:
+            if q not in places[role]:
                 raise SystemMismatchError(f"state {q!r} is not a state of machine {role}")
-        missing = states.keys() - {role for role, _ in c.control}
+        missing = places.keys() - {role for role, _ in c.control}
         if missing:
             raise SystemMismatchError(
                 f"configuration lacks control states for {sorted(r.name for r in missing)}")
         for ch, _ in c.buffers:
-            if ch.sender not in states or ch.receiver not in states:
+            if ch.sender not in places or ch.receiver not in places:
                 raise SystemMismatchError(f"configuration buffers unknown channel {ch}")
         if tuple(role for role, _ in c.control) != self.roles:
             raise SystemMismatchError("configuration control is not one state per role in role order")
-        cfg: list = [q for _, q in c.control] + [""] * len(self.channels)
+        cfg: list = [sum(places[role][q] for role, q in c.control)] + [""] * len(self.channels)
         codes = self._codes
         try:
             for ch, msgs in c.buffers:
@@ -290,47 +345,40 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf
     have several targets when the machine is nondeterministic), whether a
     send was suppressed because its buffer already held ``bound`` messages,
     and the bits of the safety properties (see ``safety``) ``cfg`` violates.
-    A state with no moves is final, one with moves but no send is receiving,
-    and a receiving state is blocked when each of its receives faces a buffer
-    headed by another message."""
+
+    One pass over the row of ``cfg``'s control vector does it all.  A
+    receiving role is blocked unless one of its receives faces an empty
+    buffer or one headed by its message; such a receive sets the role's bit
+    in ``free``, so some role is blocked exactly when ``free`` falls short of
+    the row's mask."""
     out: list[tuple[int, Packed]] = []
     truncated = False
-    final = receiving = True
-    blocked = False
-    for index, moves in enumerate(p.moves):
-        row = moves[cfg[index]]
-        if not row:
-            receiving = False
+    free = 0
+    control = cfg[0]
+    moves, final, receiving, mask = p.rows.get(control) or p.row(control)
+    for action, delta, is_send, slot, code, bit in moves:
+        buf = cfg[slot]
+        if is_send:
+            if len(buf) >= bound:
+                truncated = True
+                continue
+            buf += code
+        elif not buf:
+            free |= bit
             continue
-        final = sends = free = False
-        for action, dst, is_send, slot, code in row:
-            buf = cfg[slot]
-            if is_send:
-                sends = True
-                if len(buf) >= bound:
-                    truncated = True
-                    continue
-                buf += code
-            elif not buf:
-                free = True
-                continue
-            elif buf[0] == code:
-                free = True
-                buf = buf[1:]
-            else:
-                continue
-            nxt = list(cfg)
-            nxt[index] = dst
-            nxt[slot] = buf
-            out.append((action, tuple(nxt)))
-        if sends:
-            receiving = False
-        elif not free:
-            blocked = True
+        elif buf[0] == code:
+            free |= bit
+            buf = buf[1:]
+        else:
+            continue
+        nxt = [*cfg]
+        nxt[0] = control + delta
+        nxt[slot] = buf
+        out.append((action, tuple(nxt)))
     if final or receiving:  # deadlock needs empty buffers, orphan message a queued one
-        queued = any(cfg[len(p.moves):])
+        queued = any(cfg[1:])
         final, receiving = final and queued, receiving and not queued
-    return out, truncated, DEADLOCK * receiving | ORPHAN_MESSAGE * final | UNSPECIFIED_RECEPTION * blocked
+    return out, truncated, DEADLOCK * receiving | ORPHAN_MESSAGE * final | UNSPECIFIED_RECEPTION * (free != mask)
 
 
 def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[Configuration]:

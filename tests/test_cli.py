@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfsmkit import (
     Action,
@@ -395,3 +399,109 @@ def test_check_leaves_out_untouched_when_the_input_fails(data_dir, tmp_path, cap
                       "--out", str(out))
     assert got == code and "Traceback" not in err
     assert out.read_text() == "earlier report\n"
+
+
+# -- exit codes of mutated inputs ---------------------------------------------
+
+DATA_DIR = Path(__file__).parent / "data"
+
+# Characters the input languages give meaning to, plus a few names.
+SYNTAX = "{}[]()<>:;,.-!?\"'#\\ \n\tabzIJKM01"
+JSON_KEYS = ["subject", "states", "initial", "transitions", "machines", "from", "to",
+             "channel", "sender", "receiver", "dir", "msg"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 2) | st.sampled_from(["", "!", "?", "J", "K", "1", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(JSON_KEYS), inner,
+                                                                   max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def mutated_text(draw, text: str) -> str:
+    """``text`` with one to four spans deleted, duplicated or replaced."""
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        edit = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        if edit == "delete":
+            text = text[:i] + text[j:]
+        elif edit == "duplicate":
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i] + draw(st.text(SYNTAX, max_size=6)) + text[j:]
+    return text
+
+
+@st.composite
+def mutated_json(draw, text: str) -> str:
+    """The JSON document ``text`` with one to three nodes replaced, removed,
+    or given a sibling."""
+    doc = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        parents = []
+
+        def walk(node):
+            if isinstance(node, (dict, list)):
+                parents.append(node)
+                for child in (node.values() if isinstance(node, dict) else node):
+                    walk(child)
+
+        walk(doc)
+        node = draw(st.sampled_from(parents))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        edit = draw(st.sampled_from(["replace", "remove", "add"]))
+        if edit == "add" or not keys:
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(JSON_KEYS))] = draw(JSON_VALUES)
+            else:
+                node.append(draw(JSON_VALUES))
+        elif edit == "remove":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+def mutants(name: str):
+    text = (DATA_DIR / name).read_text()
+    if name.endswith((".cfsm", ".system")):
+        return mutated_text(text) | mutated_json(text)
+    return mutated_text(text)
+
+
+# Each case mutates one of its files, copied with the others into a
+# temporary directory, and runs commands on them: {file} is the mutant, {dir}
+# the temporary directory and {data} the unchanged data directory.
+FUZZ_CASES = {
+    "gt": (["relay.gt", "alternator.gt"],
+           [["project", "{file}", "--role", "J"], ["project", "{file}", "--role", "K"]]),
+    "gtir": (["composed.gtir", "relay.gt", "alternator.gt"],
+             [["check", "{dir}/composed.gtir", "--bound", "1", "--max-states", "300"],
+              ["check", "{dir}/composed.gtir", "--bound", "1", "--max-states", "300",
+               "--check-base-safety", "--format", "json"]]),
+    "machine": (["mj.cfsm", "mk.cfsm"],
+                [["compat", "{file}", "{data}/mk.cfsm"], ["gateway", "{file}", "--partner", "K"]]),
+    "system": (["mutual_wait.system"],
+               [["check", "{file}", "--bound", "2", "--max-states", "300"]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_inputs_exit_with_a_documented_code(kind, data):
+    # Whatever the input, the CLI returns a code of the documented taxonomy
+    # instead of raising, and only ``compat`` says "incompatible" (1).
+    names, commands = FUZZ_CASES[kind]
+    name = data.draw(st.sampled_from(names))
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in names:
+            (Path(tmp) / seed).write_text((DATA_DIR / seed).read_text())
+        (Path(tmp) / name).write_text(data.draw(mutants(name)))
+        for command in commands:
+            argv = [a.format(file=Path(tmp) / name, dir=tmp, data=DATA_DIR) for a in command]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in range(6), (argv, err.getvalue())
+            assert code != 1 or command[0] == "compat", (argv, err.getvalue())

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -28,9 +30,15 @@ from cfsmkit import (
     step,
 )
 from cfsmkit.safety import report_from_exploration
-from cfsmkit.system import render_trace
+from cfsmkit.system import PackedSystem, pack_configuration, render_trace
 from generators import random_machine
-from oracles import naive_bounded_safety, naive_reachable, naive_violations, plain_system
+from oracles import (
+    _plain_successors,
+    naive_bounded_safety,
+    naive_reachable,
+    naive_violations,
+    plain_system,
+)
 
 
 def handoff_system():
@@ -429,6 +437,60 @@ def test_predicates_agree_with_the_oracle(s, data):
         expected = naive_violations(roles, tables, cfg)
         for name, holds in PREDICATES.items():
             assert holds(s, c) == (name in expected), (name, str(c))
+
+
+def oracle_entry(act: Action) -> tuple:
+    """The first three fields of an oracle table entry for ``act``."""
+    return ("send" if act.direction.value == "!" else "recv",
+            (act.channel.sender.name, act.channel.receiver.name), act.message.label)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems(), st.data())
+def test_every_control_vector_agrees_with_the_oracle(s, data):
+    # Each role in each of its states, reachable together or not, with random
+    # buffers: steps, enabled actions and predicates match the oracle's, and
+    # every such configuration packs and unpacks unchanged.
+    roles, tables, _ = plain_system(s)
+    channels = [(a.name, b.name) for a in s.roles for b in s.roles if a != b]
+    queues = st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3).map(tuple)
+    actions = sorted({act for r in s.roles for _, act, _ in s[r].transitions},
+                     key=oracle_entry) + [Action.send(s.roles[0], s.roles[1], "c")]
+    for states in itertools.product(*(sorted(s[r].states) for r in s.roles)):
+        bufs = data.draw(st.dictionaries(st.sampled_from(channels), queues))
+        cfg = (states, tuple(sorted(bufs.items())))
+        c = unplain(s, cfg)
+        p, packed = pack_configuration(s, c)
+        assert p.decode(packed) == c
+        enabled = set()
+        for act in actions:
+            only = {role: {q: [e for e in entries if e[:3] == oracle_entry(act)]
+                           for q, entries in per_state.items()}
+                    for role, per_state in tables.items()}
+            expected = frozenset(_plain_successors(roles, only, math.inf, cfg)[0])
+            assert frozenset(plain(nxt) for nxt in step(s, c, act)) == expected, (str(act), str(c))
+            if expected:
+                enabled.add(act)
+        assert enabled_actions(s, c) == enabled, str(c)
+        flagged = naive_violations(roles, tables, cfg)
+        for name, holds in PREDICATES.items():
+            assert holds(s, c) == (name in flagged), (name, str(c))
+
+
+@pytest.mark.parametrize("bound, rows", [(1, 204), (2, 216), (4, 216)])
+def test_each_walk_builds_one_row_per_control_vector(relay_expr, monkeypatch, bound, rows):
+    built: list[int] = []
+    build = PackedSystem.row
+
+    def counted(self, control):
+        built.append(control)
+        return build(self, control)
+
+    monkeypatch.setattr(PackedSystem, "row", counted)
+    result = explore(semantics(relay_expr), max_buffer_bound=bound)
+    assert len(built) == len(set(built)) == rows
+    assert set(built) == {cfg[0] for cfg in result.packed_parents}
+    assert len({c.control for c in result.discovery_order}) == rows
 
 
 @settings(max_examples=40, deadline=None)
