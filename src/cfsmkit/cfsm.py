@@ -291,24 +291,16 @@ def _determinism_witness(m: Cfsm, direction: Direction) -> Optional[tuple[Transi
     return None
 
 
-def receive_determinism_witness(m: Cfsm) -> Optional[tuple[Transition, Transition]]:
-    return _determinism_witness(m, Direction.RECEIVE)
-
-
-def send_determinism_witness(m: Cfsm) -> Optional[tuple[Transition, Transition]]:
-    return _determinism_witness(m, Direction.SEND)
-
-
 def io_determinism_witness(m: Cfsm) -> Optional[tuple[Transition, Transition]]:
-    return receive_determinism_witness(m) or send_determinism_witness(m)
+    return _determinism_witness(m, Direction.RECEIVE) or _determinism_witness(m, Direction.SEND)
 
 
 def is_receive_deterministic(m: Cfsm) -> bool:
-    return receive_determinism_witness(m) is None
+    return _determinism_witness(m, Direction.RECEIVE) is None
 
 
 def is_send_deterministic(m: Cfsm) -> bool:
-    return send_determinism_witness(m) is None
+    return _determinism_witness(m, Direction.SEND) is None
 
 
 def is_io_deterministic(m: Cfsm) -> bool:
@@ -451,14 +443,18 @@ def serialize_machine(m: Cfsm) -> str:
     return json.dumps(machine_to_doc(m), indent=2) + "\n"
 
 
-def parse_machine(text: str) -> Cfsm:
+def parse_json_document(text: str) -> object:
+    """The JSON document ``text`` holds; MachineFormatError when it holds none."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MachineFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise MachineFormatError("not valid JSON: nested too deeply") from None
-    return machine_from_doc(doc)
+
+
+def parse_machine(text: str) -> Cfsm:
+    return machine_from_doc(parse_json_document(text))
 
 
 def _dot_quote(s: str) -> str:

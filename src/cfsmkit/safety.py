@@ -15,13 +15,12 @@ reports, per property, either a violation with the breadth-first witness
 trace, or that the system is safe within the explored bound, or safe
 outright when the exploration was exhaustive.
 
-Each property is judged in one place: ``system._successors`` flags a
-configuration's violations as it expands it, in the same pass over the row of
-moves of the configuration's control vector, and ``explore`` keeps each
-property's first violating configuration.  Which roles are final or
-receiving depends on the control vector alone, so a row records it once for
-every configuration that shares that vector; only "blocked" looks at the
-buffers.
+Each property is judged in one place, the ``system`` module: the walk of
+``explore`` flags each configuration's violations as it expands it and keeps
+each property's first violator, which ``ExplorationResult.witness`` returns
+with its breadth-first path, and ``system.violations`` judges one given
+configuration the same way.  This module turns those into verdicts and
+reports; it never sees a configuration in packed form.
 """
 
 from __future__ import annotations
@@ -38,9 +37,8 @@ from .system import (
     CommunicatingSystem,
     Configuration,
     ExplorationResult,
-    _successors,
     explore,
-    pack_configuration,
+    violations,
 )
 
 
@@ -96,41 +94,40 @@ class SafetyReport:
 
 def is_deadlock(s: CommunicatingSystem, c: Configuration) -> bool:
     """All buffers empty and every machine in a receiving state."""
-    return bool(_successors(*pack_configuration(s, c))[2] & DEADLOCK)
+    return bool(violations(s, c) & DEADLOCK)
 
 
 def is_orphan_message(s: CommunicatingSystem, c: Configuration) -> bool:
     """Every machine final, yet some buffer nonempty."""
-    return bool(_successors(*pack_configuration(s, c))[2] & ORPHAN_MESSAGE)
+    return bool(violations(s, c) & ORPHAN_MESSAGE)
 
 
 def is_unspecified_reception(s: CommunicatingSystem, c: Configuration) -> bool:
     """Some receiving machine finds, on every channel it could consume from,
     a nonempty buffer whose head it cannot receive in its current state."""
-    return bool(_successors(*pack_configuration(s, c))[2] & UNSPECIFIED_RECEPTION)
+    return bool(violations(s, c) & UNSPECIFIED_RECEPTION)
 
 
 def report_from_exploration(s: CommunicatingSystem, result: ExplorationResult) -> SafetyReport:
     """Verdicts from the first violating configuration of each property that
-    ``explore`` noted; only witness paths are decoded."""
+    ``explore`` noted, with its witness path."""
     safe_status = (VerdictStatus.SAFE_COMPLETE if result.complete
                    else VerdictStatus.SAFE_WITHIN_BOUND)
-    p = result.packing
 
     def verdict(bit: int) -> PropertyVerdict:
-        cfg = result.first_violations.get(bit)
-        if cfg is None:
+        found = result.witness(bit)
+        if found is None:
             return PropertyVerdict(safe_status)
-        path = result.packed_path_to(cfg)
+        path, at = found
         return PropertyVerdict(
             VerdictStatus.VIOLATION,
             witness=tuple(act for act, _ in path),
-            witness_configuration=p.decode(cfg),
+            witness_configuration=at,
             witness_digests=tuple(c.digest() for _, c in path),
         )
 
     stats = ExplorationStats(
-        configurations=len(result.packed_parents),
+        configurations=result.configuration_count,
         edges=result.edge_count,
         max_buffer_bound=result.max_buffer_bound,
         frontier_truncated=result.frontier_truncated,

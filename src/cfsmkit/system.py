@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .cfsm import (
     Action,
@@ -28,11 +28,15 @@ from .cfsm import (
     CfsmError,
     Channel,
     Direction,
+    MachineFormatError,
     Message,
     Role,
     RoleLike,
     as_message,
     as_role,
+    machine_from_doc,
+    machine_to_doc,
+    parse_json_document,
 )
 
 
@@ -116,23 +120,15 @@ class Configuration:
                     buf.append((ch, coerced))
         return Configuration(ctl, tuple(sorted(buf)))
 
-    @cached_property
-    def control_map(self) -> dict[Role, str]:
-        return dict(self.control)
-
-    @cached_property
-    def buffer_map(self) -> dict[Channel, tuple[Message, ...]]:
-        return dict(self.buffers)
-
     def state_of(self, role: RoleLike) -> str:
         r = as_role(role)
         try:
-            return self.control_map[r]
+            return dict(self.control)[r]
         except KeyError:
             raise SystemMismatchError(f"configuration has no control state for role {r}") from None
 
     def buffer(self, channel: Channel) -> tuple[Message, ...]:
-        return self.buffer_map.get(channel, ())
+        return dict(self.buffers).get(channel, ())
 
     def digest(self) -> str:
         """Short stable fingerprint of the canonical form, for trace output."""
@@ -158,7 +154,7 @@ def initial_configuration(s: CommunicatingSystem) -> Configuration:
 #: string of message codes per channel slot (see ``PackedSystem``).
 Packed = tuple
 
-#: One outgoing transition of a state: (action_id, delta, is_send, slot, code,
+#: One outgoing transition: (action_id, delta or target, is_send, slot, code,
 #: bit), and the row of a control vector (see ``PackedSystem``).
 Move = tuple[int, int, bool, int, str, int]
 Row = tuple[tuple[Move, ...], bool, bool, int]
@@ -191,10 +187,14 @@ class PackedSystem:
     in that order, so no id or code depends on string hashing.
 
     ``rows`` maps each control vector met so far to its ``row``: every
-    role's moves, concatenated in role order, whether every role is final
-    (has no moves), whether every role is receiving, and the mask of the
-    receiving roles' bits.  ``_successors`` is the only code that reads rows
-    to judge a configuration.
+    role's moves, concatenated in role order, each with its absolute target
+    control vector in place of ``delta``; whether every role is final (has
+    no moves); whether every role is receiving (never so without a role);
+    and the mask of the receiving roles' bits.  Every row holds the same int
+    object for the same target, so the configurations a walk stores share
+    one int per control vector rather than each holding its own.
+    ``_successors`` is the only code that reads rows to judge a
+    configuration.
 
     The channels are those some transition uses, and the labels those of the
     machines' alphabets, plus those of ``extra``'s buffers, so that a
@@ -267,18 +267,23 @@ class PackedSystem:
         self.actions: tuple[Action, ...] = tuple(actions)
         self.initial: Packed = (initial,) + ("",) * len(self.channels)
         self.rows: dict[int, Row] = {}
+        # One int object per target control vector, shared by every row.
+        self._targets: dict[int, int] = {}
 
     def row(self, control: int) -> Row:
         """Build and store in ``rows`` the row of control vector ``control``."""
-        moves: tuple[Move, ...] = ()
+        moves: list[Move] = []
+        targets = self._targets
+        mask = 0
         rest = control
         for table in self.moves:
             rest, i = divmod(rest, len(table))
-            moves += table[i]
-        mask = 0
-        for move in moves:
-            mask |= move[5]
-        row = self.rows[control] = (moves, not moves, mask == (1 << len(self.roles)) - 1, mask)
+            for action, delta, is_send, slot, code, bit in table[i]:
+                target = control + delta
+                moves.append((action, targets.setdefault(target, target), is_send, slot, code, bit))
+                mask |= bit
+        receiving = bool(moves) and mask == (1 << len(self.roles)) - 1
+        row = self.rows[control] = (tuple(moves), not moves, receiving, mask)
         return row
 
     def action_id(self, action: Action) -> Optional[int]:
@@ -356,7 +361,7 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf
     free = 0
     control = cfg[0]
     moves, final, receiving, mask = p.rows.get(control) or p.row(control)
-    for action, delta, is_send, slot, code, bit in moves:
+    for action, target, is_send, slot, code, bit in moves:
         buf = cfg[slot]
         if is_send:
             if len(buf) >= bound:
@@ -372,7 +377,7 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf
         else:
             continue
         nxt = [*cfg]
-        nxt[0] = control + delta
+        nxt[0] = target
         nxt[slot] = buf
         out.append((action, tuple(nxt)))
     if final or receiving:  # deadlock needs empty buffers, orphan message a queued one
@@ -398,7 +403,14 @@ def enabled_actions(s: CommunicatingSystem, c: Configuration) -> frozenset[Actio
     return frozenset(p.actions[act] for act, _ in _successors(p, cfg)[0])
 
 
+def violations(s: CommunicatingSystem, c: Configuration) -> int:
+    """The bits (``DEADLOCK``, ``ORPHAN_MESSAGE``, ``UNSPECIFIED_RECEPTION``)
+    of the safety properties ``c`` violates."""
+    return _successors(*pack_configuration(s, c))[2]
+
+
 Edge = tuple[Configuration, Action, Configuration]
+Path = tuple[tuple[Action, Configuration], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,14 +422,15 @@ class ExplorationResult:
     the state budget.  Either flag makes the reachable set an
     under-approximation.
 
-    ``packed_parents`` maps each explored packed configuration, in
-    breadth-first discovery order, to the packed configuration and action id
-    that first reached it (``None`` for the initial one); ``edge_count``
-    counts the steps the walk took between explored configurations.
+    The walk's own record stays packed: ``packed_parents`` maps each explored
+    configuration, in breadth-first discovery order, to the configuration
+    and action id that first reached it (``None`` for the initial one), and
     ``first_violations`` maps each safety property's bit to its first
-    violating configuration in discovery order.  The public views
-    (``parents``, ``reachable``, ``discovery_order``, ``transition_edges``,
-    ``path_to``) decode on demand.
+    violating configuration in that order; ``edge_count`` counts the steps
+    the walk took between explored configurations.  Everything else is a
+    decoded view: ``witness`` decodes one path, ``trace_to`` none, and
+    ``parents``, from which ``reachable``, ``discovery_order`` and
+    ``transition_edges`` derive, decodes every configuration once.
     """
 
     frontier_truncated: bool
@@ -429,15 +442,10 @@ class ExplorationResult:
     first_violations: dict[int, Packed] = field(repr=False)
 
     @cached_property
-    def _decoded(self) -> dict[Packed, Configuration]:
-        decode = self.packing.decode
-        return {cfg: decode(cfg) for cfg in self.packed_parents}
-
-    @cached_property
     def parents(self) -> dict[Configuration, Optional[tuple[Configuration, Action]]]:
         """Each explored configuration, in discovery order, with the
         configuration and action that first reached it."""
-        decoded = self._decoded
+        decoded = {cfg: self.packing.decode(cfg) for cfg in self.packed_parents}
         actions = self.packing.actions
         return {decoded[cfg]: None if parent is None else (decoded[parent[0]], actions[parent[1]])
                 for cfg, parent in self.packed_parents.items()}
@@ -447,19 +455,23 @@ class ExplorationResult:
         return self.packing.decode(next(iter(self.packed_parents)))
 
     @property
+    def configuration_count(self) -> int:
+        return len(self.packed_parents)
+
+    @property
     def reachable(self) -> frozenset[Configuration]:
-        return frozenset(self._decoded.values())
+        return frozenset(self.parents)
 
     @property
     def discovery_order(self) -> tuple[Configuration, ...]:
-        return tuple(self._decoded.values())
+        return tuple(self.parents)
 
     @property
     def transition_edges(self) -> frozenset[Edge]:
         """Every bounded step between explored configurations, recomputed on
         demand.  Unless the state budget was exhausted, these are exactly the
         ``edge_count`` steps the walk took."""
-        decoded = self._decoded
+        decoded = dict(zip(self.packed_parents, self.parents))
         actions = self.packing.actions
         return frozenset(
             (decoded[cfg], actions[act], decoded[nxt])
@@ -472,33 +484,40 @@ class ExplorationResult:
     def complete(self) -> bool:
         return not (self.frontier_truncated or self.state_budget_exhausted)
 
-    def packed_path_to(self, target: Packed) -> tuple[tuple[Action, Configuration], ...]:
+    def _packed_path_to(self, target: Packed) -> list[tuple[int, Packed]]:
         """The breadth-first path from the initial configuration to the
-        explored packed configuration ``target``: each step's action and the
-        configuration it reaches, decoded."""
-        actions = self.packing.actions
-        decode = self.packing.decode
-        out: list[tuple[Action, Configuration]] = []
+        explored ``target``: each step's action id and the configuration it
+        reaches."""
+        out = []
         cfg = target
         while (parent := self.packed_parents[cfg]) is not None:
-            out.append((actions[parent[1]], decode(cfg)))
+            out.append((parent[1], cfg))
             cfg = parent[0]
-        return tuple(reversed(out))
+        return out[::-1]
 
-    def path_to(self, target: Configuration) -> tuple[tuple[Action, Configuration], ...]:
-        """The breadth-first path from the initial configuration to
-        ``target``: each step's action and the configuration it reaches."""
+    def witness(self, bit: int) -> Optional[tuple[Path, Configuration]]:
+        """The breadth-first path to the first configuration that violates
+        the safety property ``bit`` (each step's action and the configuration
+        it reaches), and that configuration; None when no explored
+        configuration violates it."""
+        target = self.first_violations.get(bit)
+        if target is None:
+            return None
+        actions = self.packing.actions
+        decode = self.packing.decode
+        path = tuple((actions[act], decode(cfg)) for act, cfg in self._packed_path_to(target))
+        return path, path[-1][1] if path else decode(target)
+
+    def trace_to(self, target: Configuration) -> tuple[Action, ...]:
+        """An action sequence leading from the initial configuration to ``target``."""
         try:
             cfg = self.packing.encode(target)
         except SystemMismatchError:
             cfg = None
         if cfg not in self.packed_parents:
             raise SystemMismatchError("target configuration is not connected to the initial one")
-        return self.packed_path_to(cfg)
-
-    def trace_to(self, target: Configuration) -> tuple[Action, ...]:
-        """An action sequence leading from the initial configuration to ``target``."""
-        return tuple(act for act, _ in self.path_to(target))
+        actions = self.packing.actions
+        return tuple(actions[act] for act, _ in self._packed_path_to(cfg))
 
 
 def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
@@ -558,12 +577,10 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
 
 
 # ---------------------------------------------------------------------------
-# System file format and trace rendering
+# System file format
 # ---------------------------------------------------------------------------
 
 def system_to_doc(s: CommunicatingSystem) -> dict:
-    from .cfsm import machine_to_doc
-
     return {"machines": [machine_to_doc(s[r]) for r in s.roles]}
 
 
@@ -572,8 +589,6 @@ def serialize_system(s: CommunicatingSystem) -> str:
 
 
 def system_from_doc(doc: object) -> CommunicatingSystem:
-    from .cfsm import MachineFormatError, machine_from_doc
-
     if not isinstance(doc, dict) or not isinstance(doc.get("machines"), list):
         raise MachineFormatError("system document must be an object with a 'machines' list")
     machines: dict[Role, Cfsm] = {}
@@ -589,33 +604,4 @@ def system_from_doc(doc: object) -> CommunicatingSystem:
 
 
 def parse_system(text: str) -> CommunicatingSystem:
-    from .cfsm import MachineFormatError
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MachineFormatError(f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise MachineFormatError("not valid JSON: nested too deeply") from None
-    return system_from_doc(doc)
-
-
-def render_trace(s: CommunicatingSystem, trace: Iterable[Action]) -> str:
-    """One text line per step: the fired action and a resulting configuration's
-    digest.
-
-    A nondeterministic machine may reach several configurations on one
-    trace prefix; the replay keeps all of them, fails only when none enables
-    the next action, and prints the digest of the lowest-sorted one.
-    """
-    p = PackedSystem(s)
-    current = {p.initial}
-    lines = [f"init {p.decode(p.initial).digest()}"]
-    for i, act in enumerate(trace, start=1):
-        wanted = p.action_id(act)
-        current = {nxt for cfg in current for a, nxt in _successors(p, cfg)[0] if a == wanted}
-        if not current:
-            raise SystemMismatchError(f"trace step {i} ({act}) is not enabled")
-        lowest = min((p.decode(cfg) for cfg in current), key=lambda c: (c.control, c.buffers))
-        lines.append(f"{i}. {act} {lowest.digest()}")
-    return "\n".join(lines) + "\n"
+    return system_from_doc(parse_json_document(text))

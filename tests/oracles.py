@@ -138,7 +138,9 @@ def naive_violations(roles, tables, cfg) -> frozenset[str]:
     def deadlock() -> bool:
         if bufs:
             return False
-        return all(classify(roles[i], states[i]) == "receiving" for i in range(len(roles)))
+        # Without a role, no machine waits.
+        return bool(roles) and all(classify(roles[i], states[i]) == "receiving"
+                                   for i in range(len(roles)))
 
     def orphan() -> bool:
         if not bufs:

@@ -210,6 +210,25 @@ def test_check_safe_complete_exits_0(tmp_path, capsys):
     assert "exhaustive" in out
 
 
+@pytest.mark.parametrize("name, files", [
+    ("nothing.gtir", {"nothing.gt": "end\n", "nothing.gtir": "base nothing interfaces {}\n"}),
+    ("empty.system", {"empty.system": '{"machines": []}\n'}),
+])
+def test_check_of_a_system_without_roles_is_safe(tmp_path, capsys, name, files):
+    # No machine waits in the one configuration of a system without roles,
+    # so it is no deadlock.
+    for file, text in files.items():
+        (tmp_path / file).write_text(text)
+    code, out, _ = run(capsys, "check", str(tmp_path / name), "--bound", "4")
+    assert code == 0
+    assert out.splitlines() == [
+        "deadlock: safe (exploration exhaustive)",
+        "orphan-message: safe (exploration exhaustive)",
+        "unspecified-reception: safe (exploration exhaustive)",
+        "explored 1 configurations, 0 edges, buffer bound 4",
+    ]
+
+
 def test_check_budget_exhaustion_exits_5(tmp_path, capsys):
     from cfsmkit import Action, Cfsm, CommunicatingSystem, serialize_system
 

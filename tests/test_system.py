@@ -30,7 +30,7 @@ from cfsmkit import (
     step,
 )
 from cfsmkit.safety import report_from_exploration
-from cfsmkit.system import PackedSystem, pack_configuration, render_trace
+from cfsmkit.system import DEADLOCK, UNSPECIFIED_RECEPTION, PackedSystem, pack_configuration
 from generators import random_machine
 from oracles import (
     _plain_successors,
@@ -546,17 +546,7 @@ def test_system_round_trip(relay_expr):
         assert again[role].transitions == s[role].transitions
 
 
-def test_render_trace_lines():
-    s = handoff_system()
-    text = render_trace(s, [Action.send("A", "B", "a"), Action.receive("A", "B", "a")])
-    lines = text.strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("init ")
-    assert lines[1].startswith("1. AB!a ")
-    assert lines[2].startswith("2. AB?a ")
-
-
-def test_render_trace_follows_every_target_of_a_nondeterministic_step():
+def test_witness_follows_every_target_of_a_nondeterministic_step():
     # A's first send may stay in s0 or move to s1; only s1 goes on to send a.
     a = Cfsm.make("A", "s0", [
         ("s0", Action.send("A", "B", "b"), "s0"),
@@ -565,10 +555,26 @@ def test_render_trace_follows_every_target_of_a_nondeterministic_step():
     ])
     b = Cfsm.make("B", "t0", [("t0", Action.receive("A", "B", "b"), "t0")])
     s = CommunicatingSystem({"A": a, "B": b})
-    verdict = check_safety(s, max_buffer_bound=1).unspecified_reception
+    result = explore(s, max_buffer_bound=1)
+    verdict = report_from_exploration(s, result).unspecified_reception
     assert [str(act) for act in verdict.witness] == ["AB!b", "AB?b", "AB!a"]
-    lines = render_trace(s, verdict.witness).splitlines()
-    assert [line.split()[1] for line in lines[1:]] == ["AB!b", "AB?b", "AB!a"]
-    assert lines[-1].split()[2] == verdict.witness_configuration.digest()
+    path, at = result.witness(UNSPECIFIED_RECEPTION)
+    assert tuple(act for act, _ in path) == verdict.witness == result.trace_to(at)
+    assert at == path[-1][1] == verdict.witness_configuration
+    assert verdict.witness_digests == tuple(c.digest() for _, c in path)
+    reached = result.initial
+    for act, c in path:
+        assert c in step(s, reached, act)
+        reached = c
+    assert result.witness(DEADLOCK) is None
     with pytest.raises(SystemMismatchError):
-        render_trace(s, [Action.send("A", "B", "a")])
+        result.trace_to(cfg({"A": "s1", "B": "t0"}, {AB: ["a"]}))
+
+
+def test_stored_configurations_share_one_int_per_control_vector(relay_expr):
+    # A row holds its moves' target control vectors, the same int object for
+    # the same vector in every row, so the stored configurations do not each
+    # hold an int of their own.
+    result = explore(semantics(relay_expr), max_buffer_bound=4)
+    controls = {id(cfg[0]) for cfg in result.packed_parents}
+    assert len(controls) <= len(result.packing.rows) + 1
