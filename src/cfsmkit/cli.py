@@ -181,7 +181,7 @@ def _load_check_input(args):
         raise _CliFailure(EXIT_PARSE, str(exc)) from None
     try:
         return semantics(expr), expr
-    except GtirError as exc:
+    except (GtirError, ProjectionError) as exc:
         raise _CliFailure(EXIT_ROLE, f"{args.file}: {exc}") from None
 
 
@@ -201,10 +201,8 @@ def _cmd_check(args) -> int:
         if args.check_base_safety and expr is not None:
             for i, sub in enumerate(_base_systems(expr)):
                 reports[f"component-{i}"] = check_safety(
-                    semantics(sub), max_buffer_bound=bound,
-                    max_states=args.max_states, jobs=args.jobs)
-        reports["system"] = check_safety(system, max_buffer_bound=bound,
-                                         max_states=args.max_states, jobs=args.jobs)
+                    semantics(sub), max_buffer_bound=bound, max_states=args.max_states)
+        reports["system"] = check_safety(system, max_buffer_bound=bound, max_states=args.max_states)
         if args.format == "json":
             doc = {
                 "schema": "cfsmkit.check/1",

@@ -142,12 +142,9 @@ def report_from_exploration(s: CommunicatingSystem, result: ExplorationResult) -
 
 
 def check_safety(s: CommunicatingSystem, max_buffer_bound: int = 4,
-                 max_states: int = 1_000_000, jobs: int = 1) -> SafetyReport:
-    """Explore within bounds and evaluate all three safety properties.
-
-    ``jobs`` is accepted for compatibility and ignored, as in ``explore``.
-    """
-    result = explore(s, max_buffer_bound=max_buffer_bound, max_states=max_states, jobs=jobs)
+                 max_states: int = 1_000_000) -> SafetyReport:
+    """Explore within bounds and evaluate all three safety properties."""
+    result = explore(s, max_buffer_bound=max_buffer_bound, max_states=max_states)
     return report_from_exploration(s, result)
 
 

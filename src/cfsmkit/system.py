@@ -154,8 +154,8 @@ def initial_configuration(s: CommunicatingSystem) -> Configuration:
 #: string of message codes per channel slot (see ``PackedSystem``).
 Packed = tuple
 
-#: One outgoing transition: (action_id, delta or target, is_send, slot, code,
-#: bit), and the row of a control vector (see ``PackedSystem``).
+#: One move of a row: (action_id, target, is_send, slot, code, bit), and the
+#: row of a control vector (see ``PackedSystem``).
 Move = tuple[int, int, bool, int, str, int]
 Row = tuple[tuple[Move, ...], bool, bool, int]
 
@@ -179,22 +179,20 @@ class PackedSystem:
     hash and compare in C, the cyclic GC stops tracking them, and a buffer
     caches its hash.
 
-    ``moves[r][i]`` holds the outgoing transitions of state ``states[r][i]``
-    as ``(action_id, delta, is_send, slot, code, bit)``, in the machine's
-    canonical order: ``delta`` is what the move adds to the control vector,
-    and ``bit`` is the role's bit ``1 << r`` when the state is receiving (it
-    has moves and none of them sends), else 0.  Action ids follow first use
-    in that order, so no id or code depends on string hashing.
-
-    ``rows`` maps each control vector met so far to its ``row``: every
-    role's moves, concatenated in role order, each with its absolute target
-    control vector in place of ``delta``; whether every role is final (has
-    no moves); whether every role is receiving (never so without a role);
-    and the mask of the receiving roles' bits.  Every row holds the same int
-    object for the same target, so the configurations a walk stores share
-    one int per control vector rather than each holding its own.
-    ``_successors`` is the only code that reads rows to judge a
-    configuration.
+    ``rows`` is the one table of the engine.  It maps each control vector
+    met so far to its ``row``, built from the machines' transitions the
+    first time a walk meets that vector: every role's outgoing transitions
+    in role order, each in its machine's canonical order as a move
+    ``(action_id, target, is_send, slot, code, bit)``; whether every role is
+    final (has no moves); whether every role is receiving (never so without
+    a role); and the mask of the receiving roles' bits.  ``target`` is the
+    control vector the move leads to, the same int object in every row, so
+    the configurations a walk stores share one int per control vector.
+    ``bit`` is the role's bit ``1 << r`` when its state is receiving (it has
+    moves and none of them sends), else 0.  An action gets the next id, its
+    index in ``actions``, the first time a row meets it, so no id or code
+    depends on string hashing.  ``_successors`` is the only code that reads
+    rows to judge a configuration.
 
     The channels are those some transition uses, and the labels those of the
     machines' alphabets, plus those of ``extra``'s buffers, so that a
@@ -219,79 +217,63 @@ class PackedSystem:
                     messages.setdefault(m.label, m)
         channel_keys = sorted(channels)
         self.channels = tuple([channels[key] for key in channel_keys])
-        self._slots = slots = {key: 1 + k for k, key in enumerate(channel_keys)}
+        self._slots = {key: 1 + k for k, key in enumerate(channel_keys)}
         labels = sorted(messages)
         self._codes = codes = {label: chr(i) for i, label in enumerate(labels)}
         self._messages = {codes[label]: messages[label] for label in labels}
-        # An action is its (slot, is_send, label); ids follow first use.
-        action_ids: dict[tuple[int, bool, str], int] = {}
-        self._action_ids = action_ids
-        actions: list[Action] = []
         self.states: list[tuple[str, ...]] = []
         # Per role, each state's index times the role's weight in the radix.
         self._places: list[dict[str, int]] = []
-        self.moves: list[list[tuple[Move, ...]]] = []
-        SEND = Direction.SEND
+        self._outgoing = [machine._outgoing for machine in machines]
         weight = 1
         initial = 0
-        for r, machine in enumerate(machines):
+        for machine in machines:
             states = tuple(sorted(machine.states))
             places = dict(zip(states, range(0, len(states) * weight, weight)))
-            outgoing = machine._outgoing
-            moves = []
-            for q in states:
-                ts = outgoing.get(q, ())
-                bit = 1 << r if ts else 0
-                for _, act, _ in ts:
-                    if act.direction is SEND:
-                        bit = 0
-                        break
-                src = places[q]
-                row = []
-                for _, act, dst in ts:
-                    ch = act.channel
-                    slot = slots[ch.sender.name, ch.receiver.name]
-                    label = act.message.label
-                    is_send = act.direction is SEND
-                    action = action_ids.get((slot, is_send, label))
-                    if action is None:
-                        action = action_ids[slot, is_send, label] = len(actions)
-                        actions.append(act)
-                    row.append((action, places[dst] - src, is_send, slot, codes[label], bit))
-                moves.append(tuple(row))
             self.states.append(states)
             self._places.append(places)
-            self.moves.append(moves)
             initial += places[machine.initial]
             weight *= len(states)
-        self.actions: tuple[Action, ...] = tuple(actions)
+        self.actions: list[Action] = []
+        self._action_ids: dict[Action, int] = {}
         self.initial: Packed = (initial,) + ("",) * len(self.channels)
         self.rows: dict[int, Row] = {}
         # One int object per target control vector, shared by every row.
         self._targets: dict[int, int] = {}
 
     def row(self, control: int) -> Row:
-        """Build and store in ``rows`` the row of control vector ``control``."""
+        """Build and store in ``rows`` the row of control vector ``control``,
+        from the transitions of each role's state in it: the one place where
+        a machine transition becomes a move.  An action met here for the
+        first time gets the next id."""
         moves: list[Move] = []
-        targets = self._targets
+        actions, ids, targets = self.actions, self._action_ids, self._targets
+        slots, codes = self._slots, self._codes
+        SEND = Direction.SEND
         mask = 0
         rest = control
-        for table in self.moves:
-            rest, i = divmod(rest, len(table))
-            for action, delta, is_send, slot, code, bit in table[i]:
-                target = control + delta
-                moves.append((action, targets.setdefault(target, target), is_send, slot, code, bit))
-                mask |= bit
+        for r, (states, places, outgoing) in enumerate(zip(self.states, self._places, self._outgoing)):
+            rest, i = divmod(rest, len(states))
+            q = states[i]
+            ts = outgoing.get(q, ())
+            bit = 1 << r if ts else 0
+            for _, act, _ in ts:
+                if act.direction is SEND:
+                    bit = 0
+                    break
+            mask |= bit
+            base = control - places[q]
+            for _, act, dst in ts:
+                action = ids.setdefault(act, len(actions))
+                if action == len(actions):
+                    actions.append(act)
+                ch = act.channel
+                target = base + places[dst]
+                moves.append((action, targets.setdefault(target, target), act.direction is SEND,
+                              slots[ch.sender.name, ch.receiver.name], codes[act.message.label], bit))
         receiving = bool(moves) and mask == (1 << len(self.roles)) - 1
         row = self.rows[control] = (tuple(moves), not moves, receiving, mask)
         return row
-
-    def action_id(self, action: Action) -> Optional[int]:
-        """The id of ``action``, or None when no transition performs it."""
-        ch = action.channel
-        return self._action_ids.get((self._slots.get((ch.sender.name, ch.receiver.name)),
-                                     action.direction is Direction.SEND,
-                                     action.message.label))
 
     def decode(self, cfg: Packed) -> Configuration:
         """The public, canonical form of a packed configuration."""
@@ -393,8 +375,7 @@ def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[
     not belong to the system raises SystemMismatchError instead.
     """
     p, cfg = pack_configuration(s, c)
-    wanted = p.action_id(action)
-    return frozenset(p.decode(nxt) for act, nxt in _successors(p, cfg)[0] if act == wanted)
+    return frozenset(p.decode(nxt) for act, nxt in _successors(p, cfg)[0] if p.actions[act] == action)
 
 
 def enabled_actions(s: CommunicatingSystem, c: Configuration) -> frozenset[Action]:

@@ -252,6 +252,19 @@ def test_check_invalid_expression_exits_3(tmp_path, data_dir, capsys):
     assert "not a valid composition" in err
 
 
+def test_check_of_an_unprojectable_base_names_the_input(tmp_path, capsys):
+    # The base type breaks the choice guard, so it has no projection: the
+    # failure names the input file, as every other ``check`` failure does.
+    (tmp_path / "bad.gt").write_text("choice at A { B->A: x or A->B: y }\n")
+    bad = tmp_path / "bad.gtir"
+    bad.write_text("base bad interfaces {}\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"cfsmkit: {bad}: choice at A")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_check_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.system"
     bad.write_text("{broken json")
@@ -510,7 +523,8 @@ FUZZ_CASES = {
 @given(data=st.data())
 def test_mutated_inputs_exit_with_a_documented_code(kind, data):
     # Whatever the input, the CLI returns a code of the documented taxonomy
-    # instead of raising, and only ``compat`` says "incompatible" (1).
+    # instead of raising, and only ``compat`` says "incompatible" (1).  A
+    # ``check`` that rejects its input names a file of the mutated copy.
     names, commands = FUZZ_CASES[kind]
     name = data.draw(st.sampled_from(names))
     with tempfile.TemporaryDirectory() as tmp:
@@ -524,3 +538,7 @@ def test_mutated_inputs_exit_with_a_documented_code(kind, data):
                 code = main(argv)
             assert code in range(6), (argv, err.getvalue())
             assert code != 1 or command[0] == "compat", (argv, err.getvalue())
+            if command[0] == "check" and code in (2, 3):
+                # An input failure names the input it found at fault.
+                first = err.getvalue().partition("\n")[0]
+                assert first.startswith("cfsmkit: ") and tmp in first, (argv, first)

@@ -30,7 +30,13 @@ from cfsmkit import (
     step,
 )
 from cfsmkit.safety import report_from_exploration
-from cfsmkit.system import DEADLOCK, UNSPECIFIED_RECEPTION, PackedSystem, pack_configuration
+from cfsmkit.system import (
+    DEADLOCK,
+    UNSPECIFIED_RECEPTION,
+    PackedSystem,
+    pack_configuration,
+    violations,
+)
 from generators import random_machine
 from oracles import (
     _plain_successors,
@@ -491,6 +497,32 @@ def test_each_walk_builds_one_row_per_control_vector(relay_expr, monkeypatch, bo
     assert len(built) == len(set(built)) == rows
     assert set(built) == {cfg[0] for cfg in result.packed_parents}
     assert len({c.control for c in result.discovery_order}) == rows
+
+
+@pytest.mark.parametrize("call", ["violations", "step", "enabled_actions"])
+def test_an_api_call_builds_only_its_configurations_row(relay_expr, monkeypatch, call):
+    # The engine has no per-state table: one call on one configuration builds
+    # the row of that configuration's control vector, and no other.
+    s = semantics(relay_expr)
+    configurations = explore(s, max_buffer_bound=2).discovery_order[::500]
+    controls = [pack_configuration(s, c)[1][0] for c in configurations]
+    built: list[int] = []
+    build = PackedSystem.row
+
+    def counted(self, control):
+        built.append(control)
+        return build(self, control)
+
+    monkeypatch.setattr(PackedSystem, "row", counted)
+    for c, control in zip(configurations, controls):
+        built.clear()
+        if call == "violations":
+            violations(s, c)
+        elif call == "step":
+            step(s, c, Action.send("J", "M", "text"))
+        else:
+            enabled_actions(s, c)
+        assert built == [control], str(c)
 
 
 @settings(max_examples=40, deadline=None)
