@@ -37,10 +37,9 @@ class MachineFormatError(CfsmError):
 
 
 # The value types below precompute their hash: building machines and systems
-# (transition sets, alphabets, role and channel lookups) hashes these objects
-# constantly, and the cached int keeps that cheap.  Exploration works on
-# tuples of state names and message labels and does not hash them.  Equality
-# stays structural.
+# (transition sets, alphabets, role and channel lookups) hashes them often.
+# Exploration hashes none of them: it stores ints and strings of message codes
+# (see ``system.PackedSystem``).  Equality stays structural.
 
 @dataclass(frozen=True, slots=True, order=True)
 class Role:

@@ -6,8 +6,8 @@ between its own system and a partner role: an original send first receives
 the payload from the partner and then performs the send; an original receive
 performs the receive and then forwards the payload to the partner.
 
-Inserted states are named after the transition they split, so two transitions
-leaving the same state never collide.  Structurally, an inserted state has
+Inserted states are named after the transition they split, and a machine
+state bearing such a name is refused.  Structurally, an inserted state has
 exactly one incoming and one outgoing transition and the outgoing one is a
 send, while every carried-over state only receives; ``contract`` exploits
 this shape to recover the original machine.
@@ -70,6 +70,7 @@ def gateway(m: Cfsm, partner: RoleLike) -> Cfsm:
 
     The partner must be a fresh role: not the machine's own subject and not
     mentioned by any of its channels (composition requires disjoint systems).
+    No state of ``m`` may bear an inserted state's name.
     """
     k = as_role(partner)
     h = m.subject
@@ -83,6 +84,8 @@ def gateway(m: Cfsm, partner: RoleLike) -> Cfsm:
     for t in sorted(m.transitions, key=transition_sort_key):
         src, act, dst = t
         mid = GatewayState(src, t).name()
+        if mid in states:
+            raise GatewayPreconditionError(f"state {mid!r} clashes with the name of an inserted state")
         states.add(mid)
         if act.direction is Direction.SEND:
             transitions.add((src, Action.receive(k, h, act.message), mid))

@@ -223,6 +223,8 @@ def load_global_types(directory) -> Registry:
     """Registry of named global types: every ``*.gt`` file, read as UTF-8 and
     named by its stem.  A file that cannot be read or parsed raises GtirError
     naming it."""
+    if not Path(directory).is_dir():
+        raise GtirError(f"cannot read {directory}: not a directory")
     registry: Registry = {}
     for path in sorted(Path(directory).glob("*.gt")):
         try:

@@ -154,9 +154,9 @@ def initial_configuration(s: CommunicatingSystem) -> Configuration:
 #: string of message codes per channel slot (see ``PackedSystem``).
 Packed = tuple
 
-#: One move of a row: (action_id, target, is_send, slot, code, bit), and the
-#: row of a control vector (see ``PackedSystem``).
-Move = tuple[int, int, bool, int, str, int]
+#: One move of a row, (action, target, is_send, slot, code, bit) with the
+#: machine's own ``Action``, and the row of a control vector (see ``PackedSystem``).
+Move = tuple[Action, int, bool, int, str, int]
 Row = tuple[tuple[Move, ...], bool, bool, int]
 
 #: The bits of the safety properties a configuration violates, as the third
@@ -183,16 +183,14 @@ class PackedSystem:
     met so far to its ``row``, built from the machines' transitions the
     first time a walk meets that vector: every role's outgoing transitions
     in role order, each in its machine's canonical order as a move
-    ``(action_id, target, is_send, slot, code, bit)``; whether every role is
+    ``(action, target, is_send, slot, code, bit)``; whether every role is
     final (has no moves); whether every role is receiving (never so without
     a role); and the mask of the receiving roles' bits.  ``target`` is the
     control vector the move leads to, the same int object in every row, so
     the configurations a walk stores share one int per control vector.
     ``bit`` is the role's bit ``1 << r`` when its state is receiving (it has
-    moves and none of them sends), else 0.  An action gets the next id, its
-    index in ``actions``, the first time a row meets it, so no id or code
-    depends on string hashing.  ``_successors`` is the only code that reads
-    rows to judge a configuration.
+    moves and none of them sends), else 0.  ``action`` is the machine's own ``Action``.
+    ``_successors`` is the only code that reads rows to judge a configuration.
 
     The channels are those some transition uses, and the labels those of the
     machines' alphabets, plus those of ``extra``'s buffers, so that a
@@ -234,8 +232,6 @@ class PackedSystem:
             self._places.append(places)
             initial += places[machine.initial]
             weight *= len(states)
-        self.actions: list[Action] = []
-        self._action_ids: dict[Action, int] = {}
         self.initial: Packed = (initial,) + ("",) * len(self.channels)
         self.rows: dict[int, Row] = {}
         # One int object per target control vector, shared by every row.
@@ -244,11 +240,9 @@ class PackedSystem:
     def row(self, control: int) -> Row:
         """Build and store in ``rows`` the row of control vector ``control``,
         from the transitions of each role's state in it: the one place where
-        a machine transition becomes a move.  An action met here for the
-        first time gets the next id."""
+        a machine transition becomes a move."""
         moves: list[Move] = []
-        actions, ids, targets = self.actions, self._action_ids, self._targets
-        slots, codes = self._slots, self._codes
+        targets, slots, codes = self._targets, self._slots, self._codes
         SEND = Direction.SEND
         mask = 0
         rest = control
@@ -264,12 +258,9 @@ class PackedSystem:
             mask |= bit
             base = control - places[q]
             for _, act, dst in ts:
-                action = ids.setdefault(act, len(actions))
-                if action == len(actions):
-                    actions.append(act)
                 ch = act.channel
                 target = base + places[dst]
-                moves.append((action, targets.setdefault(target, target), act.direction is SEND,
+                moves.append((act, targets.setdefault(target, target), act.direction is SEND,
                               slots[ch.sender.name, ch.receiver.name], codes[act.message.label], bit))
         receiving = bool(moves) and mask == (1 << len(self.roles)) - 1
         row = self.rows[control] = (tuple(moves), not moves, receiving, mask)
@@ -327,18 +318,19 @@ def pack_configuration(s: CommunicatingSystem, c: Configuration) -> tuple[Packed
 
 
 def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf
-                ) -> tuple[list[tuple[int, Packed]], bool, int]:
-    """Every step from ``cfg`` as ``(action_id, successor)`` (one action may
-    have several targets when the machine is nondeterministic), whether a
-    send was suppressed because its buffer already held ``bound`` messages,
-    and the bits of the safety properties (see ``safety``) ``cfg`` violates.
+                ) -> tuple[list[tuple[Action, Packed]], bool, int]:
+    """Every step from ``cfg`` as ``(action, successor)``, in row order (one
+    action may have several targets when the machine is nondeterministic),
+    whether a send was suppressed because its buffer already held ``bound``
+    messages, and the bits of the safety properties (see ``safety``) ``cfg``
+    violates.
 
     One pass over the row of ``cfg``'s control vector does it all.  A
     receiving role is blocked unless one of its receives faces an empty
     buffer or one headed by its message; such a receive sets the role's bit
     in ``free``, so some role is blocked exactly when ``free`` falls short of
     the row's mask."""
-    out: list[tuple[int, Packed]] = []
+    out: list[tuple[Action, Packed]] = []
     truncated = False
     free = 0
     control = cfg[0]
@@ -375,13 +367,13 @@ def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[
     not belong to the system raises SystemMismatchError instead.
     """
     p, cfg = pack_configuration(s, c)
-    return frozenset(p.decode(nxt) for act, nxt in _successors(p, cfg)[0] if p.actions[act] == action)
+    return frozenset(p.decode(nxt) for act, nxt in _successors(p, cfg)[0] if act == action)
 
 
 def enabled_actions(s: CommunicatingSystem, c: Configuration) -> frozenset[Action]:
     """Exactly the actions with at least one successor at ``c``."""
     p, cfg = pack_configuration(s, c)
-    return frozenset(p.actions[act] for act, _ in _successors(p, cfg)[0])
+    return frozenset(act for act, _ in _successors(p, cfg)[0])
 
 
 def violations(s: CommunicatingSystem, c: Configuration) -> int:
@@ -404,20 +396,20 @@ class ExplorationResult:
     under-approximation.
 
     The walk's own record stays packed: ``packed_parents`` maps each explored
-    configuration, in breadth-first discovery order, to the configuration
-    and action id that first reached it (``None`` for the initial one), and
+    configuration, in breadth-first discovery order, to the stored
+    configuration that first reached it (``None`` for the initial one), and
     ``first_violations`` maps each safety property's bit to its first
     violating configuration in that order; ``edge_count`` counts the steps
-    the walk took between explored configurations.  Everything else is a
-    decoded view: ``witness`` decodes one path, ``trace_to`` none, and
-    ``parents``, from which ``reachable``, ``discovery_order`` and
-    ``transition_edges`` derive, decodes every configuration once.
+    the walk took between explored configurations.  No action is stored:
+    ``_action`` recovers a step's where a view needs it.  The views decode:
+    ``witness`` one path, ``trace_to`` none, and ``discovery_order``, from
+    which ``reachable``, ``parents`` and ``transition_edges`` derive, all.
     """
 
     frontier_truncated: bool
     max_buffer_bound: int
     state_budget_exhausted: bool
-    packed_parents: dict[Packed, Optional[tuple[Packed, int]]] = field(repr=False)
+    packed_parents: dict[Packed, Optional[Packed]] = field(repr=False)
     edge_count: int
     packing: PackedSystem = field(repr=False)
     first_violations: dict[int, Packed] = field(repr=False)
@@ -426,9 +418,8 @@ class ExplorationResult:
     def parents(self) -> dict[Configuration, Optional[tuple[Configuration, Action]]]:
         """Each explored configuration, in discovery order, with the
         configuration and action that first reached it."""
-        decoded = {cfg: self.packing.decode(cfg) for cfg in self.packed_parents}
-        actions = self.packing.actions
-        return {decoded[cfg]: None if parent is None else (decoded[parent[0]], actions[parent[1]])
+        decoded = dict(zip(self.packed_parents, self.discovery_order))
+        return {decoded[cfg]: None if parent is None else (decoded[parent], self._action(parent, cfg))
                 for cfg, parent in self.packed_parents.items()}
 
     @property
@@ -441,21 +432,20 @@ class ExplorationResult:
 
     @property
     def reachable(self) -> frozenset[Configuration]:
-        return frozenset(self.parents)
+        return frozenset(self.discovery_order)
 
     @property
     def discovery_order(self) -> tuple[Configuration, ...]:
-        return tuple(self.parents)
+        return tuple(map(self.packing.decode, self.packed_parents))
 
     @property
     def transition_edges(self) -> frozenset[Edge]:
         """Every bounded step between explored configurations, recomputed on
         demand.  Unless the state budget was exhausted, these are exactly the
         ``edge_count`` steps the walk took."""
-        decoded = dict(zip(self.packed_parents, self.parents))
-        actions = self.packing.actions
+        decoded = dict(zip(self.packed_parents, self.discovery_order))
         return frozenset(
-            (decoded[cfg], actions[act], decoded[nxt])
+            (decoded[cfg], act, decoded[nxt])
             for cfg in self.packed_parents
             for act, nxt in _successors(self.packing, cfg, self.max_buffer_bound)[0]
             if nxt in decoded
@@ -465,15 +455,23 @@ class ExplorationResult:
     def complete(self) -> bool:
         return not (self.frontier_truncated or self.state_budget_exhausted)
 
-    def _packed_path_to(self, target: Packed) -> list[tuple[int, Packed]]:
-        """The breadth-first path from the initial configuration to the
-        explored ``target``: each step's action id and the configuration it
-        reaches."""
+    def _action(self, parent: Packed, child: Packed) -> Action:
+        """The action of the recorded step from ``parent`` to ``child``: the
+        first of ``parent``'s successors at the walk's bound that reaches it.
+        Exact, since a step appends its message to one buffer (a send) or
+        takes it off the head (a receive): the slot, the length and the code
+        fix the action, so no two actions at ``parent`` reach one child."""
+        return next(act for act, nxt in _successors(self.packing, parent, self.max_buffer_bound)[0]
+                    if nxt == child)
+
+    def _packed_path_to(self, target: Packed) -> list[tuple[Action, Packed]]:
+        """The breadth-first path to the explored ``target``: each step's
+        action and the configuration it reaches."""
         out = []
         cfg = target
         while (parent := self.packed_parents[cfg]) is not None:
-            out.append((parent[1], cfg))
-            cfg = parent[0]
+            out.append((self._action(parent, cfg), cfg))
+            cfg = parent
         return out[::-1]
 
     def witness(self, bit: int) -> Optional[tuple[Path, Configuration]]:
@@ -484,9 +482,8 @@ class ExplorationResult:
         target = self.first_violations.get(bit)
         if target is None:
             return None
-        actions = self.packing.actions
         decode = self.packing.decode
-        path = tuple((actions[act], decode(cfg)) for act, cfg in self._packed_path_to(target))
+        path = tuple((act, decode(cfg)) for act, cfg in self._packed_path_to(target))
         return path, path[-1][1] if path else decode(target)
 
     def trace_to(self, target: Configuration) -> tuple[Action, ...]:
@@ -497,8 +494,7 @@ class ExplorationResult:
             cfg = None
         if cfg not in self.packed_parents:
             raise SystemMismatchError("target configuration is not connected to the initial one")
-        actions = self.packing.actions
-        return tuple(actions[act] for act, _ in self._packed_path_to(cfg))
+        return tuple(act for act, _ in self._packed_path_to(cfg))
 
 
 def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
@@ -514,7 +510,7 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
     if max_buffer_bound < 1 or max_states < 1:
         raise ValueError("bounds must be at least 1")
     p = PackedSystem(s)
-    parents: dict[Packed, Optional[tuple[Packed, int]]] = {p.initial: None}
+    parents: dict[Packed, Optional[Packed]] = {p.initial: None}
     first: dict[int, Packed] = {}
 
     def note(flags: int, cfg: Packed) -> None:
@@ -532,12 +528,12 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
             truncated = truncated or cut
             if flags:
                 note(flags, cfg)
-            for act, nxt in succ:
+            for _, nxt in succ:
                 if nxt not in parents:
                     if len(parents) >= max_states:
                         exhausted = True
                         break
-                    parents[nxt] = (cfg, act)
+                    parents[nxt] = cfg
                     next_frontier.append(nxt)
                 edges += 1
             if exhausted:

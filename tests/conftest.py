@@ -54,6 +54,15 @@ loop {
 """
 
 
+def clashing_machine() -> Cfsm:
+    """A machine whose state ``0^(0,JM!a,1)`` bears the name ``gateway``
+    would give the state it inserts into ``0 -JM!a-> 1``."""
+    taken = "0^(0,JM!a,1)"
+    return Cfsm.make("J", "0", [("0", Action.send("J", "M", "a"), "1"),
+                                ("1", Action.receive("M", "J", "b"), taken),
+                                (taken, Action.receive("M", "J", "c"), "0")])
+
+
 def submitter_machine() -> Cfsm:
     """The submitter J: send text, await ok or fail, repeat."""
     return Cfsm.make("J", "1", [

@@ -24,7 +24,7 @@ from cfsmkit import (
 )
 from cfsmkit.cli import main
 from cfsmkit.globaltype import MAX_NESTING
-from conftest import submitter_machine
+from conftest import clashing_machine, submitter_machine
 
 
 def run(capsys, *argv):
@@ -167,6 +167,16 @@ def test_gateway_used_partner_exits_3(data_dir, capsys):
     assert code == 3
 
 
+def test_gateway_of_a_state_named_like_an_inserted_one_exits_3(tmp_path, capsys):
+    # Its state 0^(0,JM!a,1) would merge with the one gateway inserts.
+    path = tmp_path / "clash.cfsm"
+    path.write_text(serialize_machine(clashing_machine()))
+    code, out, err = run(capsys, "gateway", str(path), "--partner", "K")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("cfsmkit: ") and "0^(0,JM!a,1)" in err
+
+
 def test_gateway_of_empty_machine_is_unchanged(tmp_path, capsys):
     from cfsmkit import Cfsm
 
@@ -250,6 +260,15 @@ def test_check_invalid_expression_exits_3(tmp_path, data_dir, capsys):
     code, _, err = run(capsys, "check", str(bad), "--types", str(data_dir))
     assert code == 3
     assert "not a valid composition" in err
+
+
+def test_check_with_a_missing_types_directory_exits_2(data_dir, tmp_path, capsys):
+    # The error names the directory, not a base type it would have held.
+    for types in (tmp_path / "missing", data_dir / "relay.gt"):
+        code, out, err = run(capsys, "check", str(data_dir / "composed.gtir"), "--types", str(types))
+        assert code == 2
+        assert out == ""
+        assert err == f"cfsmkit: cannot read {types}: not a directory\n"
 
 
 def test_check_of_an_unprojectable_base_names_the_input(tmp_path, capsys):

@@ -17,6 +17,7 @@ from cfsmkit import (
     inserted_states,
     is_isomorphic,
 )
+from conftest import clashing_machine
 from generators import random_machine
 
 
@@ -51,6 +52,13 @@ def test_gateway_preconditions(mj):
         gateway(mj, "J")  # the machine's own subject
     with pytest.raises(GatewayPreconditionError):
         gateway(mj, "M")  # already mentioned by a channel
+
+
+def test_gateway_refuses_a_state_named_like_an_inserted_one():
+    m = clashing_machine()
+    assert GatewayState("0", ("0", Action.send("J", "M", "a"), "1")).name() in m.states
+    with pytest.raises(GatewayPreconditionError, match=r"0\^\(0,JM!a,1\)"):
+        gateway(m, "K")
 
 
 def test_inserted_state_names_encode_the_transition(mj):

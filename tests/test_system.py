@@ -34,6 +34,7 @@ from cfsmkit.system import (
     DEADLOCK,
     UNSPECIFIED_RECEPTION,
     PackedSystem,
+    _successors,
     pack_configuration,
     violations,
 )
@@ -497,6 +498,29 @@ def test_each_walk_builds_one_row_per_control_vector(relay_expr, monkeypatch, bo
     assert len(built) == len(set(built)) == rows
     assert set(built) == {cfg[0] for cfg in result.packed_parents}
     assert len({c.control for c in result.discovery_order}) == rows
+
+
+def assert_parents_fix_their_steps(result):
+    # The walk records only each configuration's parent, the stored key object
+    # itself, and the action is recovered from the parent's successors: exactly
+    # one of them reaches the configuration.
+    keys = {id(cfg) for cfg in result.packed_parents}
+    for cfg, parent in result.packed_parents.items():
+        if parent is None:
+            continue
+        assert id(parent) in keys
+        succ = _successors(result.packing, parent, result.max_buffer_bound)[0]
+        assert sum(nxt == cfg for _, nxt in succ) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_systems(), st.integers(1, 3))
+def test_each_parent_reaches_its_child_by_one_step(s, bound):
+    assert_parents_fix_their_steps(explore(s, max_buffer_bound=bound))
+
+
+def test_each_parent_reaches_its_child_by_one_step_in_the_relay(relay_expr):
+    assert_parents_fix_their_steps(explore(semantics(relay_expr), max_buffer_bound=2))
 
 
 @pytest.mark.parametrize("call", ["violations", "step", "enabled_actions"])
