@@ -36,25 +36,24 @@ class MachineFormatError(CfsmError):
     """A serialized machine document is malformed."""
 
 
-# The value types below precompute their hash: building machines and systems
-# (transition sets, alphabets, role and channel lookups) hashes them often.
-# Exploration hashes none of them: it stores ints and strings of message codes
-# (see ``system.PackedSystem``).  Equality stays structural.
+# ``Channel`` and ``Action`` precompute their hash of a tuple of fields:
+# building machines and systems (transition sets, alphabets, channel lookups)
+# hashes them often.  Exploration hashes none of the value types: it stores
+# ints and strings of message codes (see ``system.PackedSystem``).  Equality
+# stays structural.
 
 @dataclass(frozen=True, slots=True, order=True)
 class Role:
     """A participant name; two roles are identical iff their names are equal."""
 
     name: str
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise InvalidMachineError("role name must be a nonempty string")
-        object.__setattr__(self, "_hash", hash(self.name))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.name)
 
     def __str__(self) -> str:
         return self.name
@@ -65,15 +64,13 @@ class Message:
     """A message label, compared by exact equality."""
 
     label: str
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.label:
             raise InvalidMachineError("message label must be a nonempty string")
-        object.__setattr__(self, "_hash", hash(self.label))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.label)
 
     def __str__(self) -> str:
         return self.label
@@ -426,9 +423,7 @@ def machine_from_doc(doc: object) -> Cfsm:
             src, dst, msg, sender, receiver = names
             act = Action(Channel(Role(sender), Role(receiver)), Direction(rec["dir"]), Message(msg))
             transitions.append((src, act, dst))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MachineFormatError(f"transition #{i} is malformed: {exc}") from None
-        except InvalidMachineError as exc:
+        except (KeyError, TypeError, ValueError, InvalidMachineError) as exc:
             raise MachineFormatError(f"transition #{i} is malformed: {exc}") from None
     try:
         messages = frozenset(act.message for _, act, _ in transitions)

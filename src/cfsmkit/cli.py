@@ -81,6 +81,19 @@ def _emit(text: str, out: Optional[str]) -> None:
         stream.write(text)
 
 
+def _parse(parse, path: str, text: Optional[str] = None):
+    """``parse`` of ``text``, read from ``path`` unless given; exit 2 with
+    ``PATH: message`` when ``parse`` rejects it."""
+    try:
+        return parse(_read(path) if text is None else text)
+    except (ParseError, MachineFormatError) as exc:
+        raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
+
+
+def _emit_machine(machine, args) -> None:
+    _emit(machine_to_dot(machine) if args.format == "dot" else serialize_machine(machine), args.out)
+
+
 def _default_bound() -> int:
     raw = os.environ.get(BOUND_ENV_VAR)
     if raw is None:
@@ -95,21 +108,14 @@ def _default_bound() -> int:
 
 
 def _cmd_project(args) -> int:
-    text = _read(args.file)
-    try:
-        g = parse_global_type(text)
-    except ParseError as exc:
-        raise _CliFailure(EXIT_PARSE, f"{args.file}: {exc}") from None
+    g = _parse(parse_global_type, args.file)
     try:
         machine = project(g, args.role)
     except UnknownRoleError as exc:
         raise _CliFailure(EXIT_ROLE, str(exc)) from None
     except ProjectionError as exc:
         raise _CliFailure(EXIT_ROLE, f"{args.file}: {exc}") from None
-    if args.format == "dot":
-        _emit(machine_to_dot(machine), args.out)
-    else:
-        _emit(serialize_machine(machine), args.out)
+    _emit_machine(machine, args)
     return EXIT_OK
 
 
@@ -126,12 +132,7 @@ def _failure_doc(f) -> dict:
 
 
 def _cmd_compat(args) -> int:
-    machines = []
-    for path in (args.left, args.right):
-        try:
-            machines.append(parse_machine(_read(path)))
-        except MachineFormatError as exc:
-            raise _CliFailure(EXIT_PARSE, f"{path}: {exc}") from None
+    machines = [_parse(parse_machine, path) for path in (args.left, args.right)]
     verdict = check_compatibility(machines[0], machines[1])
     if args.format == "json":
         doc = {
@@ -146,18 +147,12 @@ def _cmd_compat(args) -> int:
 
 
 def _cmd_gateway(args) -> int:
-    try:
-        machine = parse_machine(_read(args.file))
-    except MachineFormatError as exc:
-        raise _CliFailure(EXIT_PARSE, f"{args.file}: {exc}") from None
+    machine = _parse(parse_machine, args.file)
     try:
         gw = gateway(machine, args.partner)
     except GatewayPreconditionError as exc:
         raise _CliFailure(EXIT_ROLE, str(exc)) from None
-    if args.format == "dot":
-        _emit(machine_to_dot(gw), args.out)
-    else:
-        _emit(serialize_machine(gw), args.out)
+    _emit_machine(gw, args)
     return EXIT_OK
 
 
@@ -165,20 +160,14 @@ def _load_check_input(args):
     """Returns (system, expr-or-None).  System files are JSON documents with a
     'machines' list; anything else is an open-protocol expression."""
     text = _read(args.file)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            return parse_system(text), None
-        except MachineFormatError as exc:
-            raise _CliFailure(EXIT_PARSE, f"{args.file}: {exc}") from None
+    if text.lstrip().startswith("{"):
+        return _parse(parse_system, args.file, text), None
     types_dir = args.types if args.types else str(Path(args.file).parent)
     try:
         registry = load_global_types(types_dir)
-        expr = parse_gtir(text, registry)
-    except ParseError as exc:
-        raise _CliFailure(EXIT_PARSE, f"{args.file}: {exc}") from None
     except GtirError as exc:  # a type file that cannot be read or parsed
         raise _CliFailure(EXIT_PARSE, str(exc)) from None
+    expr = _parse(lambda t: parse_gtir(t, registry), args.file, text)
     try:
         return semantics(expr), expr
     except (GtirError, ProjectionError) as exc:

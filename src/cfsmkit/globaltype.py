@@ -443,10 +443,7 @@ class _Parser:
                 branches.append(self.sequence())
             self.expect("op", "}")
             self.depth -= 1
-            try:
-                return Choice(Role(decider.text), tuple(branches))
-            except GlobalTypeError as exc:
-                raise ParseError(str(exc), decider.line, decider.column) from None
+            return Choice(Role(decider.text), tuple(branches))
         if tok.kind == "ident":
             sender = self.advance()
             self.expect("op", "->")

@@ -186,10 +186,9 @@ class PackedSystem:
     ``(action, target, is_send, slot, code, bit)``; whether every role is
     final (has no moves); whether every role is receiving (never so without
     a role); and the mask of the receiving roles' bits.  ``target`` is the
-    control vector the move leads to, the same int object in every row, so
-    the configurations a walk stores share one int per control vector.
-    ``bit`` is the role's bit ``1 << r`` when its state is receiving (it has
-    moves and none of them sends), else 0.  ``action`` is the machine's own ``Action``.
+    control vector the move leads to.  ``bit`` is the role's bit ``1 << r``
+    when its state is receiving (it has moves and none of them sends), else
+    0.  ``action`` is the machine's own ``Action``.
     ``_successors`` is the only code that reads rows to judge a configuration.
 
     The channels are those some transition uses, and the labels those of the
@@ -234,15 +233,13 @@ class PackedSystem:
             weight *= len(states)
         self.initial: Packed = (initial,) + ("",) * len(self.channels)
         self.rows: dict[int, Row] = {}
-        # One int object per target control vector, shared by every row.
-        self._targets: dict[int, int] = {}
 
     def row(self, control: int) -> Row:
         """Build and store in ``rows`` the row of control vector ``control``,
         from the transitions of each role's state in it: the one place where
         a machine transition becomes a move."""
         moves: list[Move] = []
-        targets, slots, codes = self._targets, self._slots, self._codes
+        slots, codes = self._slots, self._codes
         SEND = Direction.SEND
         mask = 0
         rest = control
@@ -259,8 +256,7 @@ class PackedSystem:
             base = control - places[q]
             for _, act, dst in ts:
                 ch = act.channel
-                target = base + places[dst]
-                moves.append((act, targets.setdefault(target, target), act.direction is SEND,
+                moves.append((act, base + places[dst], act.direction is SEND,
                               slots[ch.sender.name, ch.receiver.name], codes[act.message.label], bit))
         receiving = bool(moves) and mask == (1 << len(self.roles)) - 1
         row = self.rows[control] = (tuple(moves), not moves, receiving, mask)
@@ -487,11 +483,10 @@ class ExplorationResult:
         return path, path[-1][1] if path else decode(target)
 
     def trace_to(self, target: Configuration) -> tuple[Action, ...]:
-        """An action sequence leading from the initial configuration to ``target``."""
-        try:
-            cfg = self.packing.encode(target)
-        except SystemMismatchError:
-            cfg = None
+        """An action sequence leading from the initial configuration to
+        ``target``; SystemMismatchError, naming the fault, when ``target`` does
+        not belong to the system or the walk did not reach it."""
+        cfg = self.packing.encode(target)
         if cfg not in self.packed_parents:
             raise SystemMismatchError("target configuration is not connected to the initial one")
         return tuple(act for act, _ in self._packed_path_to(cfg))

@@ -22,8 +22,11 @@ from cfsmkit import (
     serialize_machine,
     serialize_system,
 )
+from cfsmkit.cfsm import CfsmError
 from cfsmkit.cli import main
-from cfsmkit.globaltype import MAX_NESTING
+from cfsmkit.globaltype import MAX_NESTING, parse_global_type
+from cfsmkit.gtir import load_global_types, parse_gtir
+from cfsmkit.system import parse_system
 from conftest import clashing_machine, submitter_machine
 
 
@@ -63,6 +66,28 @@ def test_project_parse_error_exits_2_with_location(tmp_path, capsys):
     code, _, err = run(capsys, "project", str(gt), "--role", "A")
     assert code == 2
     assert "line 1" in err
+
+
+def test_project_through_a_nested_choice(tmp_path, capsys):
+    # The choice guard looks through an inner choice for the interactions a
+    # branch can open with: here all are sent by the decider A.
+    gt = tmp_path / "nested.gt"
+    gt.write_text("choice at A { choice at A { A->B: x or A->B: y } or A->B: z }\n")
+    code, out, _ = run(capsys, "project", str(gt), "--role", "B")
+    assert code == 0
+    assert sorted(str(act) for _, act, _ in parse_machine(out).transitions) == [
+        "AB?x", "AB?y", "AB?z"]
+
+
+def test_project_names_the_branch_a_nested_choice_opens_wrongly(tmp_path, capsys):
+    # Branch 1 opens with the inner choice, whose interactions B sends.
+    gt = tmp_path / "nested.gt"
+    gt.write_text("choice at A { choice at B { B->A: x or B->A: y } or A->B: z }\n")
+    code, out, err = run(capsys, "project", str(gt), "--role", "B")
+    assert code == 3
+    assert out == ""
+    assert err == (f"cfsmkit: {gt}: choice at A: branch 1 can open with B->A:x, "
+                   "sent by B rather than the decider\n")
 
 
 def test_project_dot_output(data_dir, capsys):
@@ -135,6 +160,28 @@ def test_compat_self_pair_reports_separating_word(data_dir, capsys):
     assert doc["compatible"] is False
     assert doc["failures"][0]["kind"] == "language-mismatch"
     assert doc["failures"][0]["separating_word"] == ["!text"]
+
+
+@pytest.mark.parametrize("extra, failure", [
+    (("2", Action.send("J", "M", "text"), "2"),
+     {"kind": "mixed-state", "role": "J", "state": "2"}),
+    (("1", Action.send("J", "M", "text"), "1"),
+     {"kind": "not-io-deterministic", "role": "J",
+      "witness": ["1 -JM!text-> 1", "1 -JM!text-> 2"]}),
+], ids=["mixed-state", "not-io-deterministic"])
+def test_compat_json_documents_each_kind_of_failure(data_dir, tmp_path, capsys, extra, failure):
+    # The extra send of the submitter J also lets it send text twice in a row.
+    left = tmp_path / "j.cfsm"
+    left.write_text(serialize_machine(
+        Cfsm.make("J", "1", set(submitter_machine().transitions) | {extra})))
+    code, out, _ = run(capsys, "compat", str(left), str(data_dir / "mk.cfsm"), "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "schema": "cfsmkit.compat/1",
+        "compatible": False,
+        "failures": [{"kind": "language-mismatch", "separating_word": ["!text", "!text"]},
+                     failure],
+    }
 
 
 def test_compat_malformed_file_exits_2(tmp_path, data_dir, capsys):
@@ -284,6 +331,25 @@ def test_check_of_an_unprojectable_base_names_the_input(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, where, message", [
+    ("base relay interfaces {I, Q}\n", "line 1, column 6",
+     "interface roles must occur in the global type; unknown: ['Q']"),
+    ("base relay interfaces {I}\nbase alternator interfaces {K}\n", "line 2, column 1",
+     "unexpected 'base' after the expression"),
+    ("connect\n  base relay interfaces {I, J, H}\nvia J <-> I\n  base relay interfaces {I, J, H}\n",
+     "line 3, column 5",
+     "connected expressions must have disjoint roles; shared: ['C', 'H', 'I', 'J', 'M', 'T']"),
+], ids=["unknown-interface", "second-base", "shared-roles"])
+def test_check_expression_parse_error_exits_2_with_location(data_dir, tmp_path, capsys,
+                                                              text, where, message):
+    bad = tmp_path / "bad.gtir"
+    bad.write_text(text)
+    code, out, err = run(capsys, "check", str(bad), "--types", str(data_dir))
+    assert code == 2
+    assert out == ""
+    assert err == f"cfsmkit: {bad}: {where}: {message}\n"
+
+
 def test_check_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.system"
     bad.write_text("{broken json")
@@ -323,6 +389,28 @@ def test_bound_env_var_sets_the_default(data_dir, tmp_path, capsys, monkeypatch)
     assert code == 4
     doc = json.loads(out)
     assert doc["reports"]["system"]["stats"]["max_buffer_bound"] == 2
+
+
+@pytest.mark.parametrize("option", ["--bound", "--max-states", "--jobs"])
+def test_check_option_below_1_exits_2(data_dir, capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(data_dir / "mutual_wait.system"), option, "0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"cfsmkit: error: {option} must be at least 1"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0", "CFSMKIT_BOUND must be positive, got 0"),
+    ("x", "CFSMKIT_BOUND must be an integer, got 'x'"),
+])
+def test_bad_bound_env_var_exits_2(data_dir, capsys, monkeypatch, value, message):
+    monkeypatch.setenv("CFSMKIT_BOUND", value)
+    code, out, err = run(capsys, "check", str(data_dir / "mutual_wait.system"))
+    assert code == 2
+    assert out == ""
+    assert err == f"cfsmkit: {message}\n"
 
 
 def test_jobs_flag_does_not_change_the_verdict(data_dir, capsys):
@@ -373,6 +461,15 @@ def test_check_json_matches_the_golden_report(tmp_path, data_dir, capsys):
     code, out, _ = run(capsys, "check", str(path), "--format", "json")
     assert code == 4
     assert out == (data_dir / "fan_in_deadlock.check.json").read_text()
+
+
+def test_check_text_matches_the_golden_report(tmp_path, data_dir, capsys):
+    # The text report numbers each witness step and prints its digest.
+    path = tmp_path / "fan_in.system"
+    path.write_text(serialize_system(fan_in_deadlock_system()))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 4
+    assert out == (data_dir / "fan_in_deadlock.check.txt").read_text()
 
 
 # -- inputs that must end in exit 2, not a traceback ----------------------------
@@ -513,10 +610,43 @@ def mutated_json(draw, text: str) -> str:
     return json.dumps(doc)
 
 
+@st.composite
+def renamed_json(draw, text: str) -> str:
+    """The JSON document ``text`` with one of its strings renamed to another
+    throughout one node (the whole document, a machine, a channel, ...): a
+    well-formed document whose parts may disagree on a role or state name."""
+    doc = json.loads(text)
+    nodes = []  # each node with the strings it holds
+
+    def walk(node) -> set[str]:
+        found = set()
+        for child in (node.values() if isinstance(node, dict) else node):
+            if isinstance(child, str):
+                found.add(child)
+            elif isinstance(child, (dict, list)):
+                found |= walk(child)
+        nodes.append((node, sorted(found)))
+        return found
+
+    names = sorted(walk(doc))
+    node, held = draw(st.sampled_from([(node, held) for node, held in nodes if held]))
+    old, new = draw(st.sampled_from(held)), draw(st.sampled_from(names))
+
+    def rename(node) -> None:
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            if child == old:
+                node[key] = new
+            elif isinstance(child, (dict, list)):
+                rename(child)
+
+    rename(node)
+    return json.dumps(doc)
+
+
 def mutants(name: str):
     text = (DATA_DIR / name).read_text()
     if name.endswith((".cfsm", ".system")):
-        return mutated_text(text) | mutated_json(text)
+        return mutated_text(text) | mutated_json(text) | renamed_json(text)
     return mutated_text(text)
 
 
@@ -537,13 +667,35 @@ FUZZ_CASES = {
 }
 
 
+def expected_codes(argv: list[str]) -> set[int]:
+    """The exit codes ``argv`` may give: 2 exactly when the front end's own
+    parser rejects one of its files, else one of the command's outcomes."""
+    command, path = argv[0], Path(argv[1])
+    try:
+        if command == "project":
+            parse_global_type(path.read_text())
+            return {0, 3}
+        if command in ("compat", "gateway"):
+            for file in argv[1:3] if command == "compat" else argv[1:2]:
+                parse_machine(Path(file).read_text())
+            return {0, 1} if command == "compat" else {0, 3}
+        text = path.read_text()
+        if text.lstrip().startswith("{"):
+            parse_system(text)
+            return {0, 4, 5}
+        parse_gtir(text, load_global_types(path.parent))
+        return {0, 3, 4, 5}
+    except CfsmError:
+        return {2}
+
+
 @pytest.mark.parametrize("kind", sorted(FUZZ_CASES))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mutated_inputs_exit_with_a_documented_code(kind, data):
-    # Whatever the input, the CLI returns a code of the documented taxonomy
-    # instead of raising, and only ``compat`` says "incompatible" (1).  A
-    # ``check`` that rejects its input names a file of the mutated copy.
+    # Whatever the input, the CLI returns a code instead of raising: 2 for
+    # exactly the inputs its parsers reject, else one its command documents.
+    # A ``check`` that rejects its input names a file of the mutated copy.
     names, commands = FUZZ_CASES[kind]
     name = data.draw(st.sampled_from(names))
     with tempfile.TemporaryDirectory() as tmp:
@@ -555,8 +707,7 @@ def test_mutated_inputs_exit_with_a_documented_code(kind, data):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main(argv)
-            assert code in range(6), (argv, err.getvalue())
-            assert code != 1 or command[0] == "compat", (argv, err.getvalue())
+            assert code in expected_codes(argv), (argv, code, err.getvalue())
             if command[0] == "check" and code in (2, 3):
                 # An input failure names the input it found at fault.
                 first = err.getvalue().partition("\n")[0]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,6 +300,20 @@ def test_trace_to_replays_to_the_target():
     target = cfg({"A": "q1", "B": "r1"})
     trace = result.trace_to(target)
     assert trace == (Action.send("A", "B", "a"), Action.receive("A", "B", "a"))
+
+
+@pytest.mark.parametrize("target, message", [
+    (cfg({"A": "q9", "B": "r0"}), "state 'q9' is not a state of machine A"),
+    (cfg({"A": "q0", "B": "r0", "C": "s0"}), "configuration mentions unknown role C"),
+    (cfg({"A": "q1", "B": "r0"}, {AB: ["b"]}), "does not fit the system"),
+    (cfg({"A": "q0", "B": "r1"}), "target configuration is not connected to the initial one"),
+], ids=["unknown-state", "unknown-role", "unknown-label", "unreached"])
+def test_trace_to_names_what_is_wrong_with_its_target(target, message):
+    # A configuration of another system is named as such; one of this
+    # system that the walk did not reach is not connected.
+    result = explore(handoff_system(), max_buffer_bound=1)
+    with pytest.raises(SystemMismatchError, match=re.escape(message)):
+        result.trace_to(target)
 
 
 def test_step_in_the_composed_example(relay_expr):
@@ -625,12 +640,3 @@ def test_witness_follows_every_target_of_a_nondeterministic_step():
     assert result.witness(DEADLOCK) is None
     with pytest.raises(SystemMismatchError):
         result.trace_to(cfg({"A": "s1", "B": "t0"}, {AB: ["a"]}))
-
-
-def test_stored_configurations_share_one_int_per_control_vector(relay_expr):
-    # A row holds its moves' target control vectors, the same int object for
-    # the same vector in every row, so the stored configurations do not each
-    # hold an int of their own.
-    result = explore(semantics(relay_expr), max_buffer_bound=4)
-    controls = {id(cfg[0]) for cfg in result.packed_parents}
-    assert len(controls) <= len(result.packing.rows) + 1
