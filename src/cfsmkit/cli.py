@@ -33,8 +33,8 @@ from .compose import (
     NotIoDeterministic,
     check_compatibility,
 )
-from .gateway import GatewayPreconditionError, gateway
-from .globaltype import ParseError, ProjectionError, UnknownRoleError, parse_global_type, project
+from .gateway import gateway
+from .globaltype import ParseError, ProjectionError, parse_global_type, project
 from .gtir import Base, Connect, GtirError, GtirExpr, load_global_types, parse_gtir, semantics
 from .safety import SafetyReport, check_safety, render_report, report_to_doc
 from .system import parse_system
@@ -111,8 +111,6 @@ def _cmd_project(args) -> int:
     g = _parse(parse_global_type, args.file)
     try:
         machine = project(g, args.role)
-    except UnknownRoleError as exc:
-        raise _CliFailure(EXIT_ROLE, str(exc)) from None
     except ProjectionError as exc:
         raise _CliFailure(EXIT_ROLE, f"{args.file}: {exc}") from None
     _emit_machine(machine, args)
@@ -148,11 +146,7 @@ def _cmd_compat(args) -> int:
 
 def _cmd_gateway(args) -> int:
     machine = _parse(parse_machine, args.file)
-    try:
-        gw = gateway(machine, args.partner)
-    except GatewayPreconditionError as exc:
-        raise _CliFailure(EXIT_ROLE, str(exc)) from None
-    _emit_machine(gw, args)
+    _emit_machine(gateway(machine, args.partner), args)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from .cfsm import (
 )
 from .gateway import gateway
 from .lang import Word, dualize, erase_channels, format_word, separating_word
-from .system import CommunicatingSystem, InvalidSystemError
+from .system import CommunicatingSystem
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,4 @@ def compose(s1: CommunicatingSystem, h: RoleLike,
             if role == interface:
                 m = gateway(m, partner)
             machines[role] = replace(m, messages=alphabet)
-    try:
-        return CommunicatingSystem(machines)
-    except InvalidSystemError as exc:  # pragma: no cover - guarded by checks above
-        raise CompositionError(str(exc)) from exc
+    return CommunicatingSystem(machines)

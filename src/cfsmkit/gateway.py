@@ -9,8 +9,10 @@ performs the receive and then forwards the payload to the partner.
 Inserted states are named after the transition they split, and a machine
 state bearing such a name is refused.  Structurally, an inserted state has
 exactly one incoming and one outgoing transition and the outgoing one is a
-send, while every carried-over state only receives; ``contract`` exploits
-this shape to recover the original machine.
+send, while every carried-over state only receives.  ``contract`` inverts
+the transformation by round trip: it collapses each inserted state's two
+transitions into one and accepts the result only when its gateway is
+isomorphic to the machine it started from.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .cfsm import (
     RoleLike,
     Transition,
     as_role,
+    is_isomorphic,
     transition_sort_key,
 )
 
@@ -115,52 +118,26 @@ def inserted_states(g: Cfsm) -> frozenset[str]:
 
 
 def contract(g: Cfsm, partner: RoleLike) -> Cfsm:
-    """Collapse each inserted state's in/out transition pair back into the
-    original transition, undoing ``gateway(m, partner)``.
+    """The machine ``m`` with ``gateway(m, partner)`` isomorphic to ``g``.
 
-    Works structurally (from the in/out shape of inserted states), not from
-    state names, and raises GatewayShapeError when the machine cannot have
-    been produced by the transformation.
+    Each inserted state's incoming and outgoing transitions collapse into
+    one: an incoming receive from the partner gives way to the outgoing
+    transition, any other incoming transition is kept.  When the gateway of
+    the result is not isomorphic to ``g``, ``g`` cannot have been produced
+    by the transformation, and GatewayShapeError is raised.
     """
     k = as_role(partner)
-    h = g.subject
     ins = inserted_states(g)
-    if g.initial in ins:
-        raise GatewayShapeError("the initial state of a gateway cannot be an inserted state")
-
-    incoming: dict[str, list[Transition]] = {q: [] for q in g.states}
-    for t in g.transitions:
-        incoming[t[2]].append(t)
-
-    originals: set[Transition] = set()
-    for mid in ins:
-        outs = g.outgoing(mid)
-        if len(outs) != 1:
-            raise GatewayShapeError(f"inserted state {mid!r} must have exactly one outgoing transition")
-        _, out_act, target = outs[0]
-        if target in ins:
-            raise GatewayShapeError(f"inserted state {mid!r} leads into another inserted state")
-        if not incoming[mid]:
-            raise GatewayShapeError(f"inserted state {mid!r} has no incoming transition")
-        for src, in_act, _ in incoming[mid]:
-            if in_act.direction is not Direction.RECEIVE or src in ins:
-                raise GatewayShapeError(f"inserted state {mid!r} has a malformed incoming transition")
-            if in_act.message != out_act.message:
-                raise GatewayShapeError(f"inserted state {mid!r} does not forward its message")
-            if in_act.channel.sender == k:
-                # Forwarded send: the outgoing leg is the original action.
-                if out_act.channel.receiver == k:
-                    raise GatewayShapeError(f"inserted state {mid!r} bounces the message back to {k}")
-                originals.add((src, out_act, target))
-            else:
-                # Original receive: the outgoing leg must hand off to the partner.
-                if out_act.channel.receiver != k or out_act.channel.sender != h:
-                    raise GatewayShapeError(f"inserted state {mid!r} does not forward to {k}")
-                originals.add((src, in_act, target))
-    return Cfsm(
-        subject=h,
-        states=frozenset(g.states - ins),
-        initial=g.initial,
-        messages=g.messages,
-        transitions=frozenset(originals),
+    originals = frozenset(
+        (src, out_act if in_act.channel.sender == k else in_act, dst)
+        for src, in_act, mid in g.transitions if mid in ins
+        for _, out_act, dst in g.outgoing(mid)
     )
+    refusal = GatewayShapeError(f"machine {g.subject} is not a gateway toward {k}")
+    try:
+        m = Cfsm(g.subject, g.states - ins, g.initial, g.messages, originals)
+        if is_isomorphic(gateway(m, k), g):
+            return m
+    except CfsmError as exc:
+        raise refusal from exc
+    raise refusal

@@ -85,6 +85,8 @@ class CommunicatingSystem:
 
     def __contains__(self, role: object) -> bool:
         if isinstance(role, str):
+            if not role:
+                return False  # no role has the empty name
             role = Role(role)
         return role in self._machines
 

@@ -48,9 +48,10 @@ def test_project_writes_a_machine_file(data_dir, tmp_path, capsys):
 
 
 def test_project_unknown_role_exits_3(data_dir, capsys):
-    code, _, err = run(capsys, "project", str(data_dir / "relay.gt"), "--role", "Z")
-    assert code == 3
-    assert "Z" in err
+    for role, message in [("Z", "role Z does not occur in the global type"),
+                          ("", "role name must be a nonempty string")]:
+        code, out, err = run(capsys, "project", str(data_dir / "relay.gt"), "--role", role)
+        assert (code, out, err) == (3, "", f"cfsmkit: {message}\n")
 
 
 def test_project_role_absent_from_end_type(tmp_path, capsys):
@@ -210,8 +211,10 @@ def test_gateway_dot_matches_the_golden_file(data_dir, capsys):
 
 
 def test_gateway_used_partner_exits_3(data_dir, capsys):
-    code, _, _ = run(capsys, "gateway", str(data_dir / "mj.cfsm"), "--partner", "M")
-    assert code == 3
+    for partner, message in [("M", "partner role M already occurs in the machine's channels"),
+                             ("", "role name must be a nonempty string")]:
+        code, out, err = run(capsys, "gateway", str(data_dir / "mj.cfsm"), "--partner", partner)
+        assert (code, out, err) == (3, "", f"cfsmkit: {message}\n")
 
 
 def test_gateway_of_a_state_named_like_an_inserted_one_exits_3(tmp_path, capsys):
@@ -533,19 +536,24 @@ def test_check_reports_an_unwritable_out_before_exploring(data_dir, tmp_path, ca
     assert f"cannot write {out}" in err
 
 
-@pytest.mark.parametrize("name, text, code", [
-    ("bad.system", '{"machines": 1}', 2),
+TWICE_A = json.dumps({"machines": 2 * [json.loads(serialize_machine(Cfsm.make("A", "q0")))]})
+
+
+@pytest.mark.parametrize("name, text, code, message", [
+    ("bad.system", '{"machines": 1}', 2, "must be an object with a 'machines' list"),
+    ("twice.system", TWICE_A, 2, "duplicate machine for role A"),
     ("bad.gtir", "connect base relay interfaces {I, J, H} via H <-> K "
-                 "base alternator interfaces {K}\n", 3),
-], ids=["unparseable", "invalid-expression"])
+                 "base alternator interfaces {K}\n", 3, "not a valid composition"),
+], ids=["unparseable", "duplicate-role", "invalid-expression"])
 def test_check_leaves_out_untouched_when_the_input_fails(data_dir, tmp_path, capsys,
-                                                          name, text, code):
+                                                          name, text, code, message):
     (tmp_path / name).write_text(text)
     out = tmp_path / "out.txt"
     out.write_text("earlier report\n")
     got, _, err = run(capsys, "check", str(tmp_path / name), "--types", str(data_dir),
                       "--out", str(out))
     assert got == code and "Traceback" not in err
+    assert err.startswith(f"cfsmkit: {tmp_path / name}: ") and message in err
     assert out.read_text() == "earlier report\n"
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfsmkit import (
     Action,
@@ -17,6 +18,7 @@ from cfsmkit import (
     inserted_states,
     is_isomorphic,
 )
+from cfsmkit.cfsm import transition_sort_key
 from conftest import clashing_machine
 from generators import random_machine
 
@@ -122,8 +124,39 @@ def test_contraction_recovers_the_original(mj, mk):
 
 
 def test_contract_rejects_machines_without_gateway_shape(mj):
-    with pytest.raises(GatewayShapeError):
-        contract(mj, "K")
+    # The second machine's only transition, and the third's stray receive
+    # from the partner, have no place in the gateway of any machine.
+    forwarder = gateway(Cfsm.make("H", "0", [("0", Action.send("H", "A", "x"), "1")]), "K")
+    stray = ("1", Action.receive("K", "H", "y"), "0")
+    for g in (mj,
+              Cfsm.make("H", "0", [("0", Action.receive("A", "H", "x"), "1")]),
+              Cfsm.make("H", "0", forwarder.transitions | {stray})):
+        with pytest.raises(GatewayShapeError, match=f"machine {g.subject} is not a gateway toward K"):
+            contract(g, "K")
+
+
+@settings(deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_contract_of_a_mutated_gateway_raises_or_round_trips(rng):
+    # Drop, add or retarget one transition of a gateway: whatever ``contract``
+    # returns must have the mutant as its gateway.
+    gw = gateway(random_machine(rng), "K")
+    transitions = sorted(gw.transitions, key=transition_sort_key)
+    states = sorted(gw.states)
+    edit = rng.choice(["drop", "add", "retarget"] if transitions else ["add"])
+    if edit != "add":
+        src, act, dst = transitions.pop(rng.randrange(len(transitions)))
+    if edit != "drop":
+        if edit == "add":
+            src, other, msg = rng.choice(states), rng.choice(["K", "P"]), rng.choice("ab")
+            act = rng.choice([Action.send("H", other, msg), Action.receive(other, "H", msg)])
+        transitions.append((src, act, rng.choice(states)))
+    mutated = Cfsm.make("H", gw.initial, transitions, extra_states=states)
+    try:
+        m2 = contract(mutated, "K")
+    except GatewayShapeError:
+        return
+    assert is_isomorphic(gateway(m2, "K"), mutated)
 
 
 def test_gateway_state_provenance():

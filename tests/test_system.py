@@ -75,6 +75,12 @@ def test_machine_key_must_match_subject(mj):
         CommunicatingSystem({"X": mj})
 
 
+def test_membership_takes_a_role_or_its_name():
+    s = handoff_system()
+    assert "A" in s and Role("B") in s
+    assert "C" not in s and "" not in s
+
+
 def test_channels_must_stay_inside_the_system(mj):
     # J's machine talks to M, so a system without M is rejected.
     with pytest.raises(InvalidSystemError):
@@ -307,7 +313,9 @@ def test_trace_to_replays_to_the_target():
     (cfg({"A": "q0", "B": "r0", "C": "s0"}), "configuration mentions unknown role C"),
     (cfg({"A": "q1", "B": "r0"}, {AB: ["b"]}), "does not fit the system"),
     (cfg({"A": "q0", "B": "r1"}), "target configuration is not connected to the initial one"),
-], ids=["unknown-state", "unknown-role", "unknown-label", "unreached"])
+    (Configuration(((Role("B"), "r0"), (Role("A"), "q0")), ()),
+     "configuration control is not one state per role in role order"),
+], ids=["unknown-state", "unknown-role", "unknown-label", "unreached", "role-order"])
 def test_trace_to_names_what_is_wrong_with_its_target(target, message):
     # A configuration of another system is named as such; one of this
     # system that the walk did not reach is not connected.
