@@ -39,8 +39,8 @@ class MachineFormatError(CfsmError):
 # ``Channel`` and ``Action`` precompute their hash of a tuple of fields:
 # building machines and systems (transition sets, alphabets, channel lookups)
 # hashes them often.  Exploration hashes none of the value types: it stores
-# ints and strings of message codes (see ``system.PackedSystem``).  Equality
-# stays structural.
+# each configuration as one string of state and message codes (see
+# ``system.PackedSystem``).  Equality stays structural.
 
 @dataclass(frozen=True, slots=True, order=True)
 class Role:

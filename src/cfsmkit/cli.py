@@ -238,13 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("file", help="expression file (.gtir) or system file (JSON)")
     p_check.add_argument("--bound", type=int, default=None,
                          help=f"buffer bound (default 4, or ${BOUND_ENV_VAR})")
-    p_check.add_argument("--max-states", type=int, default=1_000_000)
+    p_check.add_argument("--max-states", type=int, default=1_000_000,
+                         help="stop exploring after this many configurations, which bounds "
+                              "the memory a check takes (default 1000000)")
     p_check.add_argument("--jobs", type=int, default=1,
                          help="accepted for compatibility and ignored: exploration is sequential")
     p_check.add_argument("--types", help="directory of named global types (default: the input's directory)")
     p_check.add_argument("--check-base-safety", action="store_true",
                          help="also check each base component's system")
-    p_check.add_argument("--format", choices=["text", "json"], default="text")
+    p_check.add_argument("--format", choices=["text", "json"], default="text",
+                         help="report format (default: text)")
     p_check.add_argument("--out", help="output path (default: stdout)")
     p_check.set_defaults(run=_cmd_check)
     return parser

@@ -152,13 +152,17 @@ def initial_configuration(s: CommunicatingSystem) -> Configuration:
     return Configuration.make({r: s[r].initial for r in s.roles})
 
 
-#: A packed configuration: the control vector as one mixed-radix int, then one
-#: string of message codes per channel slot (see ``PackedSystem``).
-Packed = tuple
+#: The separator before each channel slot of a packed configuration.
+SEP = "\x00"
+
+#: A packed configuration: the control string, then ``SEP`` and one string of
+#: message codes per channel slot (see ``PackedSystem``).
+Packed = str
 
 #: One move of a row, (action, target, is_send, slot, code, bit) with the
-#: machine's own ``Action``, and the row of a control vector (see ``PackedSystem``).
-Move = tuple[Action, int, bool, int, str, int]
+#: machine's own ``Action`` and the target's control string, and the row of a
+#: control string (see ``PackedSystem``).
+Move = tuple[Action, str, bool, int, str, int]
 Row = tuple[tuple[Move, ...], bool, bool, int]
 
 #: The bits of the safety properties a configuration violates, as the third
@@ -171,24 +175,26 @@ UNSPECIFIED_RECEPTION = 4
 class PackedSystem:
     """A system in the flat form exploration works on.
 
-    A packed configuration is one flat tuple: the control vector, then one
-    buffer per channel of ``channels``, in sorted order.  The control vector
-    is one mixed-radix int, the sum over roles of the index of the role's
-    state in ``states[r]`` (the machine's states, sorted) times the product
-    of the earlier roles' state counts.  A buffer is a string with one
-    character per message, the label's code: the label's position ``i`` in
-    the sorted labels, as ``chr(i)``; an empty buffer is ``""``.  Such tuples
-    hash and compare in C, the cyclic GC stops tracking them, and a buffer
-    caches its hash.
+    A packed configuration is one string, so that it hashes and compares in
+    C, caches its hash and is never tracked by the cyclic GC.  It starts with
+    the control string, one character per role: the index ``i`` of the role's
+    state in ``states[r]`` (the machine's states, sorted), as ``chr(1 + i)``.
+    Then comes, once per channel of ``channels`` in sorted order, ``SEP``
+    followed by that channel's buffer, one character per message: the code of
+    its label, the label's position ``i`` in the sorted labels as
+    ``chr(1 + i)``.  So ``cfg.split(SEP)`` is the control string followed by
+    the buffers, buffer ``k`` at slot ``k``.  Keys hold indices, never names,
+    and no code is ``SEP``; with more than 127 states or labels the
+    characters leave ASCII and the keys get wider, not ambiguous.
 
-    ``rows`` is the one table of the engine.  It maps each control vector
+    ``rows`` is the one table of the engine.  It maps each control string
     met so far to its ``row``, built from the machines' transitions the
-    first time a walk meets that vector: every role's outgoing transitions
+    first time a walk meets that string: every role's outgoing transitions
     in role order, each in its machine's canonical order as a move
     ``(action, target, is_send, slot, code, bit)``; whether every role is
     final (has no moves); whether every role is receiving (never so without
     a role); and the mask of the receiving roles' bits.  ``target`` is the
-    control vector the move leads to.  ``bit`` is the role's bit ``1 << r``
+    control string the move leads to.  ``bit`` is the role's bit ``1 << r``
     when its state is receiving (it has moves and none of them sends), else
     0.  ``action`` is the machine's own ``Action``.
     ``_successors`` is the only code that reads rows to judge a configuration.
@@ -218,47 +224,45 @@ class PackedSystem:
         self.channels = tuple([channels[key] for key in channel_keys])
         self._slots = {key: 1 + k for k, key in enumerate(channel_keys)}
         labels = sorted(messages)
-        self._codes = codes = {label: chr(i) for i, label in enumerate(labels)}
+        self._codes = codes = {label: chr(i) for i, label in enumerate(labels, 1)}
         self._messages = {codes[label]: messages[label] for label in labels}
         self.states: list[tuple[str, ...]] = []
-        # Per role, each state's index times the role's weight in the radix.
-        self._places: list[dict[str, int]] = []
+        # Per role, each state's character in the control string.
+        self._controls: list[dict[str, str]] = []
         self._outgoing = [machine._outgoing for machine in machines]
-        weight = 1
-        initial = 0
+        initial = ""
         for machine in machines:
             states = tuple(sorted(machine.states))
-            places = dict(zip(states, range(0, len(states) * weight, weight)))
+            controls = {q: chr(i) for i, q in enumerate(states, 1)}
             self.states.append(states)
-            self._places.append(places)
-            initial += places[machine.initial]
-            weight *= len(states)
-        self.initial: Packed = (initial,) + ("",) * len(self.channels)
-        self.rows: dict[int, Row] = {}
+            self._controls.append(controls)
+            initial += controls[machine.initial]
+        self.initial: Packed = initial + SEP * len(self.channels)
+        self.rows: dict[str, Row] = {}
 
-    def row(self, control: int) -> Row:
-        """Build and store in ``rows`` the row of control vector ``control``,
+    def row(self, control: str) -> Row:
+        """Build and store in ``rows`` the row of control string ``control``,
         from the transitions of each role's state in it: the one place where
         a machine transition becomes a move."""
         moves: list[Move] = []
         slots, codes = self._slots, self._codes
         SEND = Direction.SEND
         mask = 0
-        rest = control
-        for r, (states, places, outgoing) in enumerate(zip(self.states, self._places, self._outgoing)):
-            rest, i = divmod(rest, len(states))
-            q = states[i]
-            ts = outgoing.get(q, ())
-            bit = 1 << r if ts else 0
+        for r, (q, states, controls, outgoing) in enumerate(
+                zip(control, self.states, self._controls, self._outgoing)):
+            ts = outgoing.get(states[ord(q) - 1])
+            if not ts:  # a final state: no moves, not receiving
+                continue
+            bit = 1 << r
             for _, act, _ in ts:
                 if act.direction is SEND:
                     bit = 0
                     break
             mask |= bit
-            base = control - places[q]
+            head, tail = control[:r], control[r + 1:]
             for _, act, dst in ts:
                 ch = act.channel
-                moves.append((act, base + places[dst], act.direction is SEND,
+                moves.append((act, head + controls[dst] + tail, act.direction is SEND,
                               slots[ch.sender.name, ch.receiver.name], codes[act.message.label], bit))
         receiving = bool(moves) and mask == (1 << len(self.roles)) - 1
         row = self.rows[control] = (tuple(moves), not moves, receiving, mask)
@@ -266,45 +270,44 @@ class PackedSystem:
 
     def decode(self, cfg: Packed) -> Configuration:
         """The public, canonical form of a packed configuration."""
-        control = cfg[0]
+        parts = cfg.split(SEP)
         states = []
-        for names in self.states:
-            control, i = divmod(control, len(names))
-            states.append(names[i])
+        for names, q in zip(self.states, parts[0]):
+            states.append(names[ord(q) - 1])
         messages = self._messages
         return Configuration(
             tuple(zip(self.roles, states)),
             tuple((ch, tuple(map(messages.__getitem__, buf)))
-                  for ch, buf in zip(self.channels, cfg[1:]) if buf),
+                  for ch, buf in zip(self.channels, parts[1:]) if buf),
         )
 
     def encode(self, c: Configuration) -> Packed:
         """The packed form of ``c``; SystemMismatchError when ``c`` does not
         belong to the system or has no packed form here."""
-        places = dict(zip(self.roles, self._places))
+        controls = dict(zip(self.roles, self._controls))
         for role, q in c.control:
-            if role not in places:
+            if role not in controls:
                 raise SystemMismatchError(f"configuration mentions unknown role {role}")
-            if q not in places[role]:
+            if q not in controls[role]:
                 raise SystemMismatchError(f"state {q!r} is not a state of machine {role}")
-        missing = places.keys() - {role for role, _ in c.control}
+        missing = controls.keys() - {role for role, _ in c.control}
         if missing:
             raise SystemMismatchError(
                 f"configuration lacks control states for {sorted(r.name for r in missing)}")
         for ch, _ in c.buffers:
-            if ch.sender not in places or ch.receiver not in places:
+            if ch.sender not in controls or ch.receiver not in controls:
                 raise SystemMismatchError(f"configuration buffers unknown channel {ch}")
         if tuple(role for role, _ in c.control) != self.roles:
             raise SystemMismatchError("configuration control is not one state per role in role order")
-        cfg: list = [sum(places[role][q] for role, q in c.control)] + [""] * len(self.channels)
+        parts = ["".join([controls[role][q] for role, q in c.control])] + [""] * len(self.channels)
         codes = self._codes
         try:
             for ch, msgs in c.buffers:
-                cfg[self._slots[ch.sender.name, ch.receiver.name]] = "".join(
+                parts[self._slots[ch.sender.name, ch.receiver.name]] = "".join(
                     codes[m.label] for m in msgs)
         except KeyError:
             raise SystemMismatchError(f"configuration {c} does not fit the system") from None
-        return tuple(cfg)
+        return SEP.join(parts)
 
 
 def pack_configuration(s: CommunicatingSystem, c: Configuration) -> tuple[PackedSystem, Packed]:
@@ -323,7 +326,9 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf
     messages, and the bits of the safety properties (see ``safety``) ``cfg``
     violates.
 
-    One pass over the row of ``cfg``'s control vector does it all.  A
+    One pass over the row of ``cfg``'s control string does it all: ``cfg``
+    is split once into its parts, and each successor is those parts joined
+    with the move's target control and its one changed buffer.  A
     receiving role is blocked unless one of its receives faces an empty
     buffer or one headed by its message; such a receive sets the role's bit
     in ``free``, so some role is blocked exactly when ``free`` falls short of
@@ -331,29 +336,29 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf
     out: list[tuple[Action, Packed]] = []
     truncated = False
     free = 0
-    control = cfg[0]
+    parts = cfg.split(SEP)
+    control = parts[0]
     moves, final, receiving, mask = p.rows.get(control) or p.row(control)
     for action, target, is_send, slot, code, bit in moves:
-        buf = cfg[slot]
+        buf = parts[slot]
         if is_send:
             if len(buf) >= bound:
                 truncated = True
                 continue
-            buf += code
+            parts[slot] = buf + code
         elif not buf:
             free |= bit
             continue
         elif buf[0] == code:
             free |= bit
-            buf = buf[1:]
+            parts[slot] = buf[1:]
         else:
             continue
-        nxt = [*cfg]
-        nxt[0] = target
-        nxt[slot] = buf
-        out.append((action, tuple(nxt)))
+        parts[0] = target
+        out.append((action, SEP.join(parts)))
+        parts[slot] = buf
     if final or receiving:  # deadlock needs empty buffers, orphan message a queued one
-        queued = any(cfg[1:])
+        queued = len(cfg) > len(p.initial)
         final, receiving = final and queued, receiving and not queued
     return out, truncated, DEADLOCK * receiving | ORPHAN_MESSAGE * final | UNSPECIFIED_RECEPTION * (free != mask)
 
@@ -394,8 +399,9 @@ class ExplorationResult:
     under-approximation.
 
     The walk's own record stays packed: ``packed_parents`` maps each explored
-    configuration, in breadth-first discovery order, to the stored
-    configuration that first reached it (``None`` for the initial one), and
+    configuration's key string, in breadth-first discovery order, to the
+    stored key of the configuration that first reached it (``None`` for the
+    initial one), so each configuration is held once, as one string; and
     ``first_violations`` maps each safety property's bit to its first
     violating configuration in that order; ``edge_count`` counts the steps
     the walk took between explored configurations.  No action is stored:

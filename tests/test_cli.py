@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -23,7 +24,7 @@ from cfsmkit import (
     serialize_system,
 )
 from cfsmkit.cfsm import CfsmError
-from cfsmkit.cli import main
+from cfsmkit.cli import build_parser, main
 from cfsmkit.globaltype import MAX_NESTING, parse_global_type
 from cfsmkit.gtir import load_global_types, parse_gtir
 from cfsmkit.system import parse_system
@@ -392,6 +393,15 @@ def test_bound_env_var_sets_the_default(data_dir, tmp_path, capsys, monkeypatch)
     assert code == 4
     doc = json.loads(out)
     assert doc["reports"]["system"]["stats"]["max_buffer_bound"] == 2
+
+
+def test_every_check_option_has_help_text():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a.help for a in commands.choices["check"]._actions if a.dest != "help"}
+    assert {"file", "bound", "max_states", "format"} <= options.keys()
+    for dest, text in options.items():
+        assert text, dest
+    assert "1000000" in options["max_states"] and "memory" in options["max_states"]
 
 
 @pytest.mark.parametrize("option", ["--bound", "--max-states", "--jobs"])

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,9 +32,11 @@ from cfsmkit import (
     serialize_system,
     step,
 )
+from cfsmkit.gtir import load_global_types, parse_gtir
 from cfsmkit.safety import report_from_exploration
 from cfsmkit.system import (
     DEADLOCK,
+    SEP,
     UNSPECIFIED_RECEPTION,
     PackedSystem,
     _successors,
@@ -509,7 +513,7 @@ def test_every_control_vector_agrees_with_the_oracle(s, data):
 
 @pytest.mark.parametrize("bound, rows", [(1, 204), (2, 216), (4, 216)])
 def test_each_walk_builds_one_row_per_control_vector(relay_expr, monkeypatch, bound, rows):
-    built: list[int] = []
+    built: list[str] = []
     build = PackedSystem.row
 
     def counted(self, control):
@@ -519,8 +523,80 @@ def test_each_walk_builds_one_row_per_control_vector(relay_expr, monkeypatch, bo
     monkeypatch.setattr(PackedSystem, "row", counted)
     result = explore(semantics(relay_expr), max_buffer_bound=bound)
     assert len(built) == len(set(built)) == rows
-    assert set(built) == {cfg[0] for cfg in result.packed_parents}
+    assert set(built) == {cfg.split(SEP)[0] for cfg in result.packed_parents}
     assert len({c.control for c in result.discovery_order}) == rows
+
+
+def test_a_bound_4_walk_holds_at_most_016_kb_per_configuration(data_dir):
+    # Each configuration is held as one key string plus its ``parents`` entry.
+    expr = parse_gtir((data_dir / "composed.gtir").read_text(), load_global_types(str(data_dir)))
+    s = semantics(expr)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = explore(s, max_buffer_bound=4)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.configuration_count == 27_574
+    assert held / 1024 / result.configuration_count <= 0.16
+
+
+def ring_system(n: int, distinct_labels: bool) -> CommunicatingSystem:
+    """A sends once from each of the ``n`` states of a ring; B receives every
+    label but the last state's ``z``, so the walk must get round the ring to
+    find the unspecified reception."""
+    states = [f"s{i:03}" for i in range(n)]
+    labels = [f"m{i:03}" if distinct_labels else "a" for i in range(n - 1)] + ["z"]
+    a = Cfsm.make("A", states[0], [(states[i], Action.send("A", "B", labels[i]), states[(i + 1) % n])
+                                   for i in range(n)])
+    b = Cfsm.make("B", "r", [("r", Action.receive("A", "B", label), "r") for label in set(labels[:-1])])
+    return CommunicatingSystem({"A": a, "B": b})
+
+
+def nul_named_system() -> CommunicatingSystem:
+    # Names holding the separator: B takes "\x00" and answers it, but not "x\x00".
+    a = Cfsm.make("A", "\x00", [("\x00", Action.send("A", "B", "\x00"), "a\x00"),
+                                ("a\x00", Action.send("A", "B", "x\x00"), "\x00"),
+                                ("a\x00", Action.receive("B", "A", "\x00"), "a\x00")])
+    b = Cfsm.make("B", "\x00", [("\x00", Action.receive("A", "B", "\x00"), "\x00\x00"),
+                                ("\x00\x00", Action.send("B", "A", "\x00"), "\x00")])
+    return CommunicatingSystem({"A": a, "B": b})
+
+
+KEY_EDGE_CASES = {
+    "130-states": lambda: ring_system(130, distinct_labels=False),
+    "300-labels": lambda: ring_system(300, distinct_labels=True),
+    "nul-names": nul_named_system,
+    "no-channels": lambda: CommunicatingSystem({"A": Cfsm.make("A", "q"),
+                                                "B": Cfsm.make("B", "r", extra_states=["t"])}),
+}
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+@pytest.mark.parametrize("case", KEY_EDGE_CASES)
+def test_keys_round_trip_and_agree_with_the_oracle(case, bound):
+    s = KEY_EDGE_CASES[case]()
+    result = explore(s, max_buffer_bound=bound)
+    p = result.packing
+    for key, c in zip(result.packed_parents, result.discovery_order):
+        control, *buffers = key.split(SEP)
+        assert len(control) == len(s.roles) and len(buffers) == len(p.channels)
+        assert p.encode(c) == key and p.decode(key) == c
+    reachable, truncated = naive_reachable(s, bound)
+    assert frozenset(plain(c) for c in result.reachable) == reachable
+    assert result.frontier_truncated == truncated
+    report = report_from_exploration(s, result)
+    for name, violated in naive_bounded_safety(s, bound=bound).items():
+        verdict = getattr(report, name)
+        assert verdict.violated == violated, name
+        if violated:
+            assert verdict.witness_configuration in replay(s, verdict.witness, verdict.witness_digests)
+    # The widest code reached: past ASCII with 130 states, past Latin-1 with 300 labels.
+    widest = max(map(ord, "".join(result.packed_parents)))
+    assert widest == {"130-states": 130, "300-labels": 300, "nul-names": 2, "no-channels": 1}[case]
 
 
 def assert_parents_fix_their_steps(result):
@@ -552,8 +628,8 @@ def test_an_api_call_builds_only_its_configurations_row(relay_expr, monkeypatch,
     # the row of that configuration's control vector, and no other.
     s = semantics(relay_expr)
     configurations = explore(s, max_buffer_bound=2).discovery_order[::500]
-    controls = [pack_configuration(s, c)[1][0] for c in configurations]
-    built: list[int] = []
+    controls = [pack_configuration(s, c)[1].split(SEP)[0] for c in configurations]
+    built: list[str] = []
     build = PackedSystem.row
 
     def counted(self, control):
