@@ -19,7 +19,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .cfsm import (
@@ -385,29 +384,32 @@ def violations(s: CommunicatingSystem, c: Configuration) -> int:
     return _successors(*pack_configuration(s, c))[2]
 
 
-Edge = tuple[Configuration, Action, Configuration]
 Path = tuple[tuple[Action, Configuration], ...]
 
 
 @dataclass(frozen=True, eq=False)
 class ExplorationResult:
-    """Bounded reachability closure plus how it was cut off.
+    """The record of one bounded breadth-first walk, and how it was cut off.
 
     ``frontier_truncated`` reports that some enabled send was suppressed at
     the buffer bound; ``state_budget_exhausted`` that the walk was aborted at
     the state budget.  Either flag makes the reachable set an
-    under-approximation.
+    under-approximation; ``complete`` is neither.
 
-    The walk's own record stays packed: ``packed_parents`` maps each explored
-    configuration's key string, in breadth-first discovery order, to the
-    stored key of the configuration that first reached it (``None`` for the
-    initial one), so each configuration is held once, as one string; and
-    ``first_violations`` maps each safety property's bit to its first
-    violating configuration in that order; ``edge_count`` counts the steps
-    the walk took between explored configurations.  No action is stored:
-    ``_action`` recovers a step's where a view needs it.  The views decode:
-    ``witness`` one path, ``trace_to`` none, and ``discovery_order``, from
-    which ``reachable``, ``parents`` and ``transition_edges`` derive, all.
+    The record stays packed, each configuration held once as one key string
+    of ``packing``.  ``packed_parents`` maps each explored configuration's
+    key, in breadth-first discovery order, to the stored key of the
+    configuration that first reached it (``None`` for the initial one, which
+    comes first); ``configuration_count`` is its size.  ``first_violations``
+    maps each safety property's bit to its first violating key in that
+    order.  ``edge_count`` counts the steps the walk took: every successor of
+    every explored configuration when the walk ran to its end, and only the
+    steps taken before the abort when the state budget was exhausted.
+
+    No action or edge is stored.  The views decode on demand:
+    ``discovery_order``, and ``reachable`` from it, every configuration;
+    ``witness`` one breadth-first path and its end; ``trace_to`` the actions
+    of one.  A path recovers each step's action from the parent's successors.
     """
 
     frontier_truncated: bool
@@ -417,18 +419,6 @@ class ExplorationResult:
     edge_count: int
     packing: PackedSystem = field(repr=False)
     first_violations: dict[int, Packed] = field(repr=False)
-
-    @cached_property
-    def parents(self) -> dict[Configuration, Optional[tuple[Configuration, Action]]]:
-        """Each explored configuration, in discovery order, with the
-        configuration and action that first reached it."""
-        decoded = dict(zip(self.packed_parents, self.discovery_order))
-        return {decoded[cfg]: None if parent is None else (decoded[parent], self._action(parent, cfg))
-                for cfg, parent in self.packed_parents.items()}
-
-    @property
-    def initial(self) -> Configuration:
-        return self.packing.decode(next(iter(self.packed_parents)))
 
     @property
     def configuration_count(self) -> int:
@@ -443,30 +433,8 @@ class ExplorationResult:
         return tuple(map(self.packing.decode, self.packed_parents))
 
     @property
-    def transition_edges(self) -> frozenset[Edge]:
-        """Every bounded step between explored configurations, recomputed on
-        demand.  Unless the state budget was exhausted, these are exactly the
-        ``edge_count`` steps the walk took."""
-        decoded = dict(zip(self.packed_parents, self.discovery_order))
-        return frozenset(
-            (decoded[cfg], act, decoded[nxt])
-            for cfg in self.packed_parents
-            for act, nxt in _successors(self.packing, cfg, self.max_buffer_bound)[0]
-            if nxt in decoded
-        )
-
-    @property
     def complete(self) -> bool:
         return not (self.frontier_truncated or self.state_budget_exhausted)
-
-    def _action(self, parent: Packed, child: Packed) -> Action:
-        """The action of the recorded step from ``parent`` to ``child``: the
-        first of ``parent``'s successors at the walk's bound that reaches it.
-        Exact, since a step appends its message to one buffer (a send) or
-        takes it off the head (a receive): the slot, the length and the code
-        fix the action, so no two actions at ``parent`` reach one child."""
-        return next(act for act, nxt in _successors(self.packing, parent, self.max_buffer_bound)[0]
-                    if nxt == child)
 
     def _packed_path_to(self, target: Packed) -> list[tuple[Action, Packed]]:
         """The breadth-first path to the explored ``target``: each step's
@@ -474,7 +442,12 @@ class ExplorationResult:
         out = []
         cfg = target
         while (parent := self.packed_parents[cfg]) is not None:
-            out.append((self._action(parent, cfg), cfg))
+            # A step appends its message to one buffer (a send) or takes it
+            # off the head (a receive): the slot, the length and the code fix
+            # the action, so exactly one of the parent's successors at the
+            # walk's bound reaches ``cfg``.
+            succ = _successors(self.packing, parent, self.max_buffer_bound)[0]
+            out.append((next(act for act, nxt in succ if nxt == cfg), cfg))
             cfg = parent
         return out[::-1]
 

@@ -233,7 +233,7 @@ def test_explore_handoff_exactly_three_configurations():
     assert result.reachable == frozenset(expected)
     assert not result.frontier_truncated
     assert not result.state_budget_exhausted
-    assert len(result.transition_edges) == 2
+    assert result.edge_count == 2
 
 
 def test_explore_transitionless_machines_single_configuration():
@@ -279,9 +279,13 @@ def test_reachable_monotone_in_the_bound():
 
 
 def test_edges_change_one_buffer_and_one_machine():
-    result = explore(pump_system(), max_buffer_bound=2)
+    s = pump_system()
+    result = explore(s, max_buffer_bound=2)
     moved_any = False
-    for src, act, dst in result.transition_edges:
+    edges = [(src, act, dst) for src in result.discovery_order
+             for act in enabled_actions(s, src) for dst in step(s, src, act)]
+    assert edges
+    for src, act, dst in edges:
         changed_roles = [r for r, q in src.control if dst.state_of(r) != q]
         assert changed_roles in ([], [act.subject])  # self-loops keep the state
         moved_any = moved_any or bool(changed_roles)
@@ -295,13 +299,6 @@ def test_edges_change_one_buffer_and_one_machine():
         else:
             assert src.buffer(act.channel)[0] == act.message
             assert dst.buffer(act.channel) == src.buffer(act.channel)[1:]
-
-
-def test_edge_targets_agree_with_step():
-    s = handoff_system()
-    result = explore(s, max_buffer_bound=2)
-    for src, act, dst in result.transition_edges:
-        assert dst in step(s, src, act)
 
 
 def test_trace_to_replays_to_the_target():
@@ -342,21 +339,22 @@ def test_step_in_the_composed_example(relay_expr):
             assert after.state_of(role) == init.state_of(role)
 
 
-def test_composed_edges_replay_through_step(relay_expr):
-    s = semantics(relay_expr)
-    result = explore(s, max_buffer_bound=1)
-    sample = sorted(result.transition_edges,
-                    key=lambda e: (e[0].control, e[0].buffers, e[1]))[::7][:150]
-    for src, act, dst in sample:
-        assert dst in step(s, src, act)
-
-
 def test_every_reachable_configuration_is_connected(relay_expr):
+    # Firing ``trace_to(c)`` from the initial configuration through ``step``
+    # reaches ``c`` in exactly its breadth-first depth, read off the parents.
+    # Each distinct prefix of a trace is fired once.
     s = semantics(relay_expr)
     result = explore(s, max_buffer_bound=1)
-    for cfg in result.reachable:
-        trace = result.trace_to(cfg)  # raises if disconnected
-        assert len(trace) >= 0
+    depth = assert_parents_fix_their_steps(result)
+    reached = {(): {initial_configuration(s)}}
+    for c, key in zip(result.discovery_order, result.packed_parents):
+        trace = result.trace_to(c)
+        assert len(trace) == depth[key]
+        for i, act in enumerate(trace):
+            if trace[:i + 1] not in reached:
+                before = reached[trace[:i]]
+                reached[trace[:i + 1]] = {nxt for prev in before for nxt in step(s, prev, act)}
+        assert c in reached[trace]
 
 
 def test_parallel_exploration_is_identical(relay_expr):
@@ -365,30 +363,8 @@ def test_parallel_exploration_is_identical(relay_expr):
     seq = explore(s, max_buffer_bound=2)
     par = explore(s, max_buffer_bound=2, jobs=3)
     assert seq.discovery_order == par.discovery_order
-    assert seq.parents == par.parents
+    assert seq.packed_parents == par.packed_parents
     assert seq.edge_count == par.edge_count
-
-
-def test_parents_are_recorded_at_discovery(relay_expr):
-    # Each configuration's recorded parent was discovered before it, one
-    # breadth-first level closer to the initial configuration, and the
-    # recorded action steps from the parent to the child.
-    s = semantics(relay_expr)
-    result = explore(s, max_buffer_bound=1)
-    position = {c: i for i, c in enumerate(result.discovery_order)}
-    depth = {}
-    for child, parent in result.parents.items():
-        if parent is None:
-            assert child == result.initial
-            depth[child] = 0
-            continue
-        src, act = parent
-        assert position[src] < position[child]
-        assert child in step(s, src, act)
-        depth[child] = depth[src] + 1
-    for src, _, dst in result.transition_edges:
-        assert depth[dst] <= depth[src] + 1
-    assert len(result.transition_edges) == result.edge_count
 
 
 @st.composite
@@ -423,7 +399,7 @@ def test_exploration_agrees_with_the_reachability_oracle(s, bound):
     reachable, truncated = naive_reachable(s, bound)
     assert frozenset(plain(c) for c in result.reachable) == reachable
     assert result.frontier_truncated == truncated
-    assert result.edge_count == len(result.transition_edges)
+    assert_parents_fix_their_steps(result)
     report = check_safety(s, max_buffer_bound=bound)
     expected = naive_bounded_safety(s, bound=bound)
     for name in expected:
@@ -602,14 +578,35 @@ def test_keys_round_trip_and_agree_with_the_oracle(case, bound):
 def assert_parents_fix_their_steps(result):
     # The walk records only each configuration's parent, the stored key object
     # itself, and the action is recovered from the parent's successors: exactly
-    # one of them reaches the configuration.
+    # one of them reaches the configuration.  The parents form a breadth-first
+    # tree: the initial configuration comes first, each parent before its
+    # child and one level above it, levels never fall in discovery order, and
+    # no step leads more than one level down.  Unless the state budget was
+    # exhausted, ``edge_count`` is the number of steps between explored
+    # configurations.  Returns each key's breadth-first depth.
+    p, bound = result.packing, result.max_buffer_bound
     keys = {id(cfg) for cfg in result.packed_parents}
+    depth = {}
     for cfg, parent in result.packed_parents.items():
         if parent is None:
+            assert not depth and cfg == p.initial
+            depth[cfg] = 0
             continue
         assert id(parent) in keys
-        succ = _successors(result.packing, parent, result.max_buffer_bound)[0]
+        depth[cfg] = depth[parent] + 1  # a KeyError if the parent came later
+        succ = _successors(p, parent, bound)[0]
         assert sum(nxt == cfg for _, nxt in succ) == 1
+    levels = list(depth.values())
+    assert levels == sorted(levels)
+    edges = 0
+    for cfg in result.packed_parents:
+        for _, nxt in _successors(p, cfg, bound)[0]:
+            if nxt in depth:
+                assert depth[nxt] <= depth[cfg] + 1
+                edges += 1
+    if not result.state_budget_exhausted:
+        assert edges == result.edge_count
+    return depth
 
 
 @settings(max_examples=40, deadline=None)
@@ -717,7 +714,7 @@ def test_witness_follows_every_target_of_a_nondeterministic_step():
     assert tuple(act for act, _ in path) == verdict.witness == result.trace_to(at)
     assert at == path[-1][1] == verdict.witness_configuration
     assert verdict.witness_digests == tuple(c.digest() for _, c in path)
-    reached = result.initial
+    reached = initial_configuration(s)
     for act, c in path:
         assert c in step(s, reached, act)
         reached = c
