@@ -15,7 +15,6 @@ never truncated, the reachable set is exact.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -136,6 +135,7 @@ class Configuration:
         text = ";".join(f"{r}={q}" for r, q in self.control) + "|" + ";".join(
             f"{ch}=" + ",".join(m.label for m in msgs) for ch, msgs in self.buffers
         )
+        import hashlib  # deferred: libcrypto costs 3.8 MB, and only a witness needs it
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def __str__(self) -> str:

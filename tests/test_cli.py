@@ -451,17 +451,22 @@ def fan_in_deadlock_system():
     return CommunicatingSystem({"A": sender("A", "x"), "B": sender("B", "y"), "C": c})
 
 
+def fresh_interpreter_env(**variables):
+    # The environment for a child interpreter that imports this checkout's src/.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **variables,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_check_witness_is_identical_under_every_hash_seed(tmp_path):
     path = tmp_path / "fan_in.system"
     path.write_text(serialize_system(fan_in_deadlock_system()))
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = set()
     for seed in range(1, 6):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "cfsmkit.cli", "check", str(path),
                                "--format", "json"],
-                              env=env, capture_output=True, timeout=60)
+                              env=fresh_interpreter_env(PYTHONHASHSEED=str(seed)),
+                              capture_output=True, timeout=60)
         assert proc.returncode == 4, proc.stderr.decode()
         outputs.add(proc.stdout)
     assert len(outputs) == 1
@@ -482,6 +487,42 @@ def test_check_text_matches_the_golden_report(tmp_path, data_dir, capsys):
     path.write_text(serialize_system(fan_in_deadlock_system()))
     code, out, _ = run(capsys, "check", str(path))
     assert code == 4
+    assert out == (data_dir / "fan_in_deadlock.check.txt").read_text()
+
+
+# Runs ``cfsmkit check`` in a fresh interpreter, since pytest and hypothesis
+# import hashlib here, and reports on stderr which hash modules it loaded.
+CHECK_AND_LIST_HASH_MODULES = """\
+import json, sys
+from cfsmkit.cli import main
+code = main(["check", *sys.argv[1:]])
+print(json.dumps(sorted({"hashlib", "_hashlib"} & set(sys.modules))), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def check_in_a_fresh_interpreter(*argv):
+    proc = subprocess.run([sys.executable, "-c", CHECK_AND_LIST_HASH_MODULES, *map(str, argv)],
+                          env=fresh_interpreter_env(), capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_only_a_witness_loads_hashlib(data_dir, tmp_path):
+    # Loading hashlib maps OpenSSL's libcrypto, about 3.8 MB resident, and
+    # only a witness step's digest needs it.
+    a = Cfsm.make("A", "q0", [("q0", Action.send("A", "B", "a"), "q1")])
+    b = Cfsm.make("B", "r0", [("r0", Action.receive("A", "B", "a"), "r1")])
+    fine = tmp_path / "fine.system"
+    fine.write_text(serialize_system(CommunicatingSystem({"A": a, "B": b})))
+    fan_in = tmp_path / "fan_in.system"
+    fan_in.write_text(serialize_system(fan_in_deadlock_system()))
+
+    code, _, loaded = check_in_a_fresh_interpreter(data_dir / "composed.gtir", "--bound", "2")
+    assert (code, loaded) == (5, [])
+    code, _, loaded = check_in_a_fresh_interpreter(fine)
+    assert (code, loaded) == (0, [])
+    code, out, loaded = check_in_a_fresh_interpreter(fan_in)
+    assert (code, "hashlib" in loaded) == (4, True)
     assert out == (data_dir / "fan_in_deadlock.check.txt").read_text()
 
 

@@ -609,12 +609,6 @@ def assert_parents_fix_their_steps(result):
     return depth
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_systems(), st.integers(1, 3))
-def test_each_parent_reaches_its_child_by_one_step(s, bound):
-    assert_parents_fix_their_steps(explore(s, max_buffer_bound=bound))
-
-
 def test_each_parent_reaches_its_child_by_one_step_in_the_relay(relay_expr):
     assert_parents_fix_their_steps(explore(semantics(relay_expr), max_buffer_bound=2))
 
