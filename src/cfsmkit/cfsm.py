@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 
@@ -38,9 +37,11 @@ class MachineFormatError(CfsmError):
 
 # ``Channel`` and ``Action`` precompute their hash of a tuple of fields:
 # building machines and systems (transition sets, alphabets, channel lookups)
-# hashes them often.  Exploration hashes none of the value types: it stores
-# each configuration as one string of state and message codes (see
-# ``system.PackedSystem``).  Equality stays structural.
+# hashes them often.  ``Action`` also stores its text, which witnesses and
+# machine documents render once per step.  Exploration hashes none of the
+# value types: it stores each configuration as one string of state and
+# message codes, and its tables live in the ``system.PackedSystem`` of one
+# walk, so a machine holds only its definition.  Equality stays structural.
 
 @dataclass(frozen=True, slots=True, order=True)
 class Role:
@@ -126,16 +127,19 @@ class Action:
     direction: Direction
     message: Message
     _hash: int = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_hash", hash((self.channel, self.direction, self.message)))
+        object.__setattr__(
+            self, "_text", f"{self.channel}{self.direction.value}{self.message}")
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        return f"{self.channel}{self.direction.value}{self.message}"
+        return self._text
 
     @property
     def subject(self) -> Role:
@@ -156,12 +160,13 @@ Transition = tuple[str, Action, str]
 
 
 def transition_sort_key(t: Transition):
+    # ``Direction`` is a ``str`` enum: its members order as their values.
     src, act, dst = t
     return (src, act.channel.sender.name, act.channel.receiver.name,
-            act.direction.value, act.message.label, dst)
+            act.direction, act.message.label, dst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cfsm:
     """A finite transition system over the send/receive actions of one role.
 
@@ -209,18 +214,13 @@ class Cfsm:
             msgs = frozenset(as_message(m) for m in messages)
         return Cfsm(as_role(subject), frozenset(states), initial, msgs, trs)
 
-    @cached_property
-    def _outgoing(self) -> dict[str, tuple[Transition, ...]]:
-        table: dict[str, list[Transition]] = {}
-        for t in sorted(self.transitions, key=transition_sort_key):
-            table.setdefault(t[0], []).append(t)
-        return {q: tuple(ts) for q, ts in table.items()}
-
     def outgoing(self, state: str) -> tuple[Transition, ...]:
-        """Transitions leaving ``state``, in canonical order."""
+        """Transitions leaving ``state``, in canonical order, computed on
+        each call: a machine holds only its definition."""
         if state not in self.states:
             raise UnknownStateError(f"{self.subject} has no state {state!r}")
-        return self._outgoing.get(state, ())
+        return tuple(sorted((t for t in self.transitions if t[0] == state),
+                            key=transition_sort_key))
 
     def roles_mentioned(self) -> frozenset[Role]:
         """All roles occurring in channels of this machine's transitions."""
@@ -262,7 +262,11 @@ def classify_state(m: Cfsm, q: str) -> StateKind:
 
 
 def mixed_states(m: Cfsm) -> tuple[str, ...]:
-    return tuple(q for q in sorted(m.states) if classify_state(m, q) is StateKind.MIXED)
+    """The states with both a send and a receive leaving them, sorted."""
+    directions: dict[str, set[Direction]] = {}
+    for src, act, _ in m.transitions:
+        directions.setdefault(src, set()).add(act.direction)
+    return tuple(sorted(q for q, dirs in directions.items() if len(dirs) == 2))
 
 
 def has_mixed_states(m: Cfsm) -> bool:

@@ -111,10 +111,7 @@ def inserted_states(g: Cfsm) -> frozenset[str]:
     In a gateway, a state has an outgoing send exactly when it was inserted:
     carried-over states only receive (or are final).
     """
-    return frozenset(
-        q for q in g.states
-        if any(t[1].direction is Direction.SEND for t in g.outgoing(q))
-    )
+    return frozenset(src for src, act, _ in g.transitions if act.direction is Direction.SEND)
 
 
 def contract(g: Cfsm, partner: RoleLike) -> Cfsm:
@@ -128,10 +125,14 @@ def contract(g: Cfsm, partner: RoleLike) -> Cfsm:
     """
     k = as_role(partner)
     ins = inserted_states(g)
+    exits: dict[str, list[tuple[Action, str]]] = {q: [] for q in ins}
+    for src, act, dst in g.transitions:
+        if src in ins:
+            exits[src].append((act, dst))
     originals = frozenset(
         (src, out_act if in_act.channel.sender == k else in_act, dst)
         for src, in_act, mid in g.transitions if mid in ins
-        for _, out_act, dst in g.outgoing(mid)
+        for out_act, dst in exits[mid]
     )
     refusal = GatewayShapeError(f"machine {g.subject} is not a gateway toward {k}")
     try:

@@ -30,6 +30,7 @@ from .cfsm import (
     Message,
     Role,
     RoleLike,
+    Transition,
     as_message,
     as_role,
     machine_from_doc,
@@ -164,6 +165,10 @@ Packed = str
 Move = tuple[Action, str, bool, int, str, int]
 Row = tuple[tuple[Move, ...], bool, bool, int]
 
+#: One way out of a machine state, (slot, direction, code, target, action),
+#: with the target state's control character (see ``PackedSystem``).
+Exit = tuple[int, Direction, str, str, Action]
+
 #: The bits of the safety properties a configuration violates, as the third
 #: value of ``_successors`` reports them.
 DEADLOCK = 1
@@ -187,9 +192,9 @@ class PackedSystem:
     characters leave ASCII and the keys get wider, not ambiguous.
 
     ``rows`` is the one table of the engine.  It maps each control string
-    met so far to its ``row``, built from the machines' transitions the
-    first time a walk meets that string: every role's outgoing transitions
-    in role order, each in its machine's canonical order as a move
+    met so far to its ``row``, built the first time a walk meets that
+    string: every role's outgoing transitions in role order, each in its
+    machine's canonical order (``Cfsm.outgoing``'s) as a move
     ``(action, target, is_send, slot, code, bit)``; whether every role is
     final (has no moves); whether every role is receiving (never so without
     a role); and the mask of the receiving roles' bits.  ``target`` is the
@@ -197,6 +202,13 @@ class PackedSystem:
     when its state is receiving (it has moves and none of them sends), else
     0.  ``action`` is the machine's own ``Action``.
     ``_successors`` is the only code that reads rows to judge a configuration.
+
+    A row is assembled from per-role exits, the one place where machine
+    transitions are ordered and resolved into slots and codes: ``__init__``
+    groups each machine's transitions by source state, and the first row
+    that needs a role in a state turns that state's group, once, into sorted
+    ``Exit``s and the role's bit.  These tables belong to the packing, so
+    they live for one walk and a machine holds only its definition.
 
     The channels are those some transition uses, and the labels those of the
     machines' alphabets, plus those of ``extra``'s buffers, so that a
@@ -210,10 +222,16 @@ class PackedSystem:
         # Keyed by names: string keys hash and compare in C.
         channels: dict[tuple[str, str], Channel] = {}
         messages = {m.label: m for machine in machines for m in machine.messages}
+        # Per role, each state's outgoing transitions, until ``row`` builds
+        # that state's exits from them.
+        self._leaving: list[dict[str, list[Transition]]] = []
         for machine in machines:
-            for _, act, _ in machine.transitions:
-                ch = act.channel
+            leaving: dict[str, list[Transition]] = {}
+            for t in machine.transitions:
+                ch = t[1].channel
                 channels[ch.sender.name, ch.receiver.name] = ch
+                leaving.setdefault(t[0], []).append(t)
+            self._leaving.append(leaving)
         if extra is not None:
             for ch, msgs in extra.buffers:
                 channels[ch.sender.name, ch.receiver.name] = ch
@@ -228,7 +246,8 @@ class PackedSystem:
         self.states: list[tuple[str, ...]] = []
         # Per role, each state's character in the control string.
         self._controls: list[dict[str, str]] = []
-        self._outgoing = [machine._outgoing for machine in machines]
+        # Per role, the exits and bit of each state met so far, by its character.
+        self._exits: list[dict[str, tuple[tuple[Exit, ...], int]]] = [{} for _ in roles]
         initial = ""
         for machine in machines:
             states = tuple(sorted(machine.states))
@@ -240,29 +259,35 @@ class PackedSystem:
         self.rows: dict[str, Row] = {}
 
     def row(self, control: str) -> Row:
-        """Build and store in ``rows`` the row of control string ``control``,
-        from the transitions of each role's state in it: the one place where
-        a machine transition becomes a move."""
+        """Build and store in ``rows`` the row of control string ``control``
+        from each role's exits in it, building a role's exits the first time
+        a row needs it in that state."""
         moves: list[Move] = []
-        slots, codes = self._slots, self._codes
-        SEND = Direction.SEND
         mask = 0
-        for r, (q, states, controls, outgoing) in enumerate(
-                zip(control, self.states, self._controls, self._outgoing)):
-            ts = outgoing.get(states[ord(q) - 1])
-            if not ts:  # a final state: no moves, not receiving
+        slots, codes, SEND = self._slots, self._codes, Direction.SEND
+        for r, (q, exits, states, controls) in enumerate(
+                zip(control, self._exits, self.states, self._controls)):
+            entry = exits.get(q)
+            if entry is None:  # the role's first row in this state: build its exits
+                found: list[Exit] = []
+                bit = 1 << r
+                for _, act, dst in self._leaving[r].pop(states[ord(q) - 1], ()):
+                    if act.direction is SEND:
+                        bit = 0
+                    ch = act.channel
+                    found.append((slots[ch.sender.name, ch.receiver.name], act.direction,
+                                  codes[act.message.label], controls[dst], act))
+                # Slots, codes and control characters number channels, labels
+                # and states in name order, so this is ``transition_sort_key``'s.
+                found.sort()
+                entry = exits[q] = (tuple(found), bit if found else 0)
+            role_exits, bit = entry
+            if not role_exits:  # a final state: no moves, not receiving
                 continue
-            bit = 1 << r
-            for _, act, _ in ts:
-                if act.direction is SEND:
-                    bit = 0
-                    break
             mask |= bit
             head, tail = control[:r], control[r + 1:]
-            for _, act, dst in ts:
-                ch = act.channel
-                moves.append((act, head + controls[dst] + tail, act.direction is SEND,
-                              slots[ch.sender.name, ch.receiver.name], codes[act.message.label], bit))
+            for slot, direction, code, dst, act in role_exits:
+                moves.append((act, head + dst + tail, direction is SEND, slot, code, bit))
         receiving = bool(moves) and mask == (1 << len(self.roles)) - 1
         row = self.rows[control] = (tuple(moves), not moves, receiving, mask)
         return row
@@ -283,22 +308,23 @@ class PackedSystem:
     def encode(self, c: Configuration) -> Packed:
         """The packed form of ``c``; SystemMismatchError when ``c`` does not
         belong to the system or has no packed form here."""
-        controls = dict(zip(self.roles, self._controls))
+        # Keyed by role names, which hash in C where roles hash in Python.
+        controls = {role.name: table for role, table in zip(self.roles, self._controls)}
         for role, q in c.control:
-            if role not in controls:
+            if role.name not in controls:
                 raise SystemMismatchError(f"configuration mentions unknown role {role}")
-            if q not in controls[role]:
+            if q not in controls[role.name]:
                 raise SystemMismatchError(f"state {q!r} is not a state of machine {role}")
-        missing = controls.keys() - {role for role, _ in c.control}
+        missing = controls.keys() - {role.name for role, _ in c.control}
         if missing:
-            raise SystemMismatchError(
-                f"configuration lacks control states for {sorted(r.name for r in missing)}")
+            raise SystemMismatchError(f"configuration lacks control states for {sorted(missing)}")
         for ch, _ in c.buffers:
-            if ch.sender not in controls or ch.receiver not in controls:
+            if ch.sender.name not in controls or ch.receiver.name not in controls:
                 raise SystemMismatchError(f"configuration buffers unknown channel {ch}")
         if tuple(role for role, _ in c.control) != self.roles:
             raise SystemMismatchError("configuration control is not one state per role in role order")
-        parts = ["".join([controls[role][q] for role, q in c.control])] + [""] * len(self.channels)
+        parts = ["".join([table[q] for table, (_, q) in zip(self._controls, c.control)])]
+        parts += [""] * len(self.channels)
         codes = self._codes
         try:
             for ch, msgs in c.buffers:

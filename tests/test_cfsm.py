@@ -24,6 +24,7 @@ from cfsmkit import (
     parse_machine,
     serialize_machine,
 )
+from cfsmkit.cfsm import transition_sort_key
 
 
 def empty_machine(subject="H"):
@@ -137,6 +138,23 @@ def test_io_determinism_examples(mj, mk):
         ("q", Action.receive("R", "H", "a"), "q2"),
     ])
     assert not is_io_deterministic(bad)
+
+
+def test_sort_key_orders_a_send_before_a_receive():
+    # Same state, channel, label and target: only the direction differs, and
+    # it orders as its text does, "!" before "?".
+    send = ("q", Action.send("A", "B", "m"), "q")
+    receive = ("q", Action.receive("A", "B", "m"), "q")
+    assert "!" < "?"
+    assert transition_sort_key(send) < transition_sort_key(receive)
+    assert sorted([receive, send], key=transition_sort_key) == [send, receive]
+
+
+def test_action_text_is_stored_once():
+    send, receive = Action.send("J", "M", "text"), Action.receive("M", "J", "ok")
+    assert (str(send), str(receive)) == ("JM!text", "MJ?ok")
+    assert str(send) is str(send)
+    assert send == Action.send("J", "M", "text") and hash(send) == hash(Action.send("J", "M", "text"))
 
 
 def test_no_mixed_states_in_fixtures(mj, mk):

@@ -14,6 +14,7 @@ from cfsmkit import (
     Channel,
     CommunicatingSystem,
     Configuration,
+    Direction,
     InvalidSystemError,
     Message,
     Role,
@@ -24,6 +25,7 @@ from cfsmkit import (
     enabled_actions,
     explore,
     initial_configuration,
+    inserted_states,
     is_deadlock,
     is_orphan_message,
     is_unspecified_reception,
@@ -32,6 +34,7 @@ from cfsmkit import (
     serialize_system,
     step,
 )
+from cfsmkit.cfsm import mixed_states
 from cfsmkit.gtir import load_global_types, parse_gtir
 from cfsmkit.safety import report_from_exploration
 from cfsmkit.system import (
@@ -485,6 +488,32 @@ def test_every_control_vector_agrees_with_the_oracle(s, data):
         flagged = naive_violations(roles, tables, cfg)
         for name, holds in PREDICATES.items():
             assert holds(s, c) == (name in flagged), (name, str(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems())
+def test_rows_list_each_roles_outgoing_transitions_in_canonical_order(s):
+    # The engine orders and resolves transitions itself; its rows must keep
+    # the public order of ``Cfsm.outgoing``, role by role.
+    p = PackedSystem(s)
+    for states in itertools.product(*p.states):
+        control = "".join(p._controls[r][q] for r, q in enumerate(states))
+        moves = p.row(control)[0]
+        expected = [t for r, q in zip(s.roles, states) for t in s[r].outgoing(q)]
+        got = []
+        for act, target, is_send, slot, code, _ in moves:
+            r = s.roles.index(act.subject)
+            got.append((states[r], act, p.states[r][ord(target[r]) - 1]))
+            assert target[:r] + target[r + 1:] == control[:r] + control[r + 1:]
+            assert is_send == (act.direction is Direction.SEND)
+            assert (p.channels[slot - 1], p._messages[code]) == (act.channel, act.message)
+        assert got == expected
+    for r in s.roles:
+        m = s[r]
+        assert mixed_states(m) == tuple(
+            q for q in sorted(m.states) if classify_state(m, q) is StateKind.MIXED)
+        assert inserted_states(m) == frozenset(
+            q for q in m.states if any(t[1].direction is Direction.SEND for t in m.outgoing(q)))
 
 
 @pytest.mark.parametrize("bound, rows", [(1, 204), (2, 216), (4, 216)])
