@@ -35,13 +35,15 @@ class MachineFormatError(CfsmError):
     """A serialized machine document is malformed."""
 
 
-# ``Channel`` and ``Action`` precompute their hash of a tuple of fields:
-# building machines and systems (transition sets, alphabets, channel lookups)
-# hashes them often.  ``Action`` also stores its text, which witnesses and
-# machine documents render once per step.  Exploration hashes none of the
-# value types: it stores each configuration as one string of state and
-# message codes, and its tables live in the ``system.PackedSystem`` of one
-# walk, so a machine holds only its definition.  Equality stays structural.
+# Every value hashes only from what it holds, so a value pickled in one
+# process matches the same value built in another, under any
+# ``PYTHONHASHSEED``.  ``Action`` stores its text, which witnesses and machine
+# documents render once per step, and hashes that: Python caches a string's
+# hash, and a pickled string hashes afresh where it is loaded.  Equality stays
+# structural.  Exploration hashes none of the value types: it stores each
+# configuration as one string of state and message codes, and its tables live
+# in the ``system.PackedSystem`` of one walk, so a machine holds only its
+# definition.
 
 @dataclass(frozen=True, slots=True, order=True)
 class Role:
@@ -95,17 +97,12 @@ class Channel:
 
     sender: Role
     receiver: Role
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sender == self.receiver:
             raise InvalidMachineError(
                 f"channel endpoints must differ, got {self.sender}->{self.receiver}"
             )
-        object.__setattr__(self, "_hash", hash((self.sender.name, self.receiver.name)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"{self.sender}{self.receiver}"
@@ -126,17 +123,14 @@ class Action:
     channel: Channel
     direction: Direction
     message: Message
-    _hash: int = field(init=False, repr=False, compare=False)
     _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "_hash", hash((self.channel, self.direction, self.message)))
-        object.__setattr__(
             self, "_text", f"{self.channel}{self.direction.value}{self.message}")
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._text)
 
     def __str__(self) -> str:
         return self._text

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .cfsm import Action, Cfsm, CfsmError, Message, Role, RoleLike, as_role
+from .cfsm import Action, Cfsm, CfsmError, Message, Role, RoleLike, as_message, as_role
 
 
 class GlobalTypeError(CfsmError):
@@ -94,8 +94,6 @@ class Loop(GlobalType):
 
 
 def interaction(sender: RoleLike, receiver: RoleLike, message) -> Interaction:
-    from .cfsm import as_message
-
     return Interaction(as_role(sender), as_role(receiver), as_message(message))
 
 

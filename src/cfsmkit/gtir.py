@@ -138,8 +138,8 @@ def project_gtir(g: GtirExpr, p: RoleLike) -> Cfsm:
 class InterfaceCommunication:
     """A base expression lets two of its interface roles communicate."""
 
-    channel: "Channel"
-    message: "Message"
+    channel: Channel
+    message: Message
 
     def __str__(self) -> str:
         return f"communication between interface roles: {self.channel}:{self.message}"

@@ -51,21 +51,21 @@ class CommunicatingSystem:
     """A role-indexed family of machines over shared role and message sets."""
 
     def __init__(self, machines: Mapping[RoleLike, Cfsm]):
-        table: dict[Role, Cfsm] = {}
+        # Keyed by role name: the roles are the machines' own subjects.
+        table: dict[str, Cfsm] = {}
         for key, m in machines.items():
-            role = as_role(key)
-            if m.subject != role:
-                raise InvalidSystemError(f"machine for {role} has subject {m.subject}")
-            table[role] = m
-        roles = frozenset(table)
-        for role, m in table.items():
+            name = key.name if isinstance(key, Role) else key
+            if m.subject.name != name:
+                raise InvalidSystemError(f"machine for {name} has subject {m.subject}")
+            table[name] = m
+        for m in table.values():
             for other in m.roles_mentioned():
-                if other not in roles:
+                if other.name not in table:
                     raise InvalidSystemError(
-                        f"machine for {role} mentions role {other}, which has no machine"
+                        f"machine for {m.subject} mentions role {other}, which has no machine"
                     )
         self._machines = table
-        self._roles: tuple[Role, ...] = tuple(sorted(table))
+        self._roles: tuple[Role, ...] = tuple(sorted(m.subject for m in table.values()))
 
     @property
     def roles(self) -> tuple[Role, ...]:
@@ -73,21 +73,17 @@ class CommunicatingSystem:
 
     @property
     def machines(self) -> dict[Role, Cfsm]:
-        return dict(self._machines)
+        return {m.subject: m for m in self._machines.values()}
 
     def __getitem__(self, role: RoleLike) -> Cfsm:
-        r = as_role(role)
+        name = role.name if isinstance(role, Role) else role
         try:
-            return self._machines[r]
+            return self._machines[name]
         except KeyError:
-            raise SystemMismatchError(f"system has no machine for role {r}") from None
+            raise SystemMismatchError(f"system has no machine for role {name}") from None
 
     def __contains__(self, role: object) -> bool:
-        if isinstance(role, str):
-            if not role:
-                return False  # no role has the empty name
-            role = Role(role)
-        return role in self._machines
+        return (role.name if isinstance(role, Role) else role) in self._machines
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommunicatingSystem):
@@ -218,7 +214,7 @@ class PackedSystem:
 
     def __init__(self, s: CommunicatingSystem, extra: Optional[Configuration] = None):
         self.roles = roles = s.roles
-        machines = [s._machines[r] for r in roles]
+        machines = [s._machines[r.name] for r in roles]
         # Keyed by names: string keys hash and compare in C.
         channels: dict[tuple[str, str], Channel] = {}
         messages = {m.label: m for machine in machines for m in machine.messages}

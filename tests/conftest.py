@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -5,6 +6,14 @@ import pytest
 from cfsmkit import Action, Cfsm, base, connect, parse_global_type
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def fresh_interpreter_env(**variables):
+    # The environment for a child interpreter that imports this checkout's src/.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **variables,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
 
 # The running example: a text-relay service (manager M, transformer T,
 # counter C) with environment roles I (initializer), J (submitter), and

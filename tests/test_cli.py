@@ -2,7 +2,6 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -28,7 +27,7 @@ from cfsmkit.cli import build_parser, main
 from cfsmkit.globaltype import MAX_NESTING, parse_global_type
 from cfsmkit.gtir import load_global_types, parse_gtir
 from cfsmkit.system import parse_system
-from conftest import clashing_machine, submitter_machine
+from conftest import clashing_machine, fresh_interpreter_env, submitter_machine
 
 
 def run(capsys, *argv):
@@ -449,13 +448,6 @@ def fan_in_deadlock_system():
     c = Cfsm.make("C", "c0", [("c0", x, "c1"), ("c0", y, "c2"), ("c1", y, "c3"),
                               ("c2", x, "c3"), ("c3", x, "c4")])
     return CommunicatingSystem({"A": sender("A", "x"), "B": sender("B", "y"), "C": c})
-
-
-def fresh_interpreter_env(**variables):
-    # The environment for a child interpreter that imports this checkout's src/.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, **variables,
-                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_check_witness_is_identical_under_every_hash_seed(tmp_path):

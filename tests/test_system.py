@@ -78,14 +78,32 @@ AB = Channel(Role("A"), Role("B"))
 # -- construction -------------------------------------------------------------
 
 def test_machine_key_must_match_subject(mj):
-    with pytest.raises(InvalidSystemError):
-        CommunicatingSystem({"X": mj})
+    for key in ("X", Role("X"), ""):
+        with pytest.raises(InvalidSystemError):
+            CommunicatingSystem({key: mj})
 
 
 def test_membership_takes_a_role_or_its_name():
     s = handoff_system()
     assert "A" in s and Role("B") in s
-    assert "C" not in s and "" not in s
+    assert "C" not in s and "" not in s and Role("C") not in s
+
+
+def test_a_system_holds_its_machines_own_roles():
+    s = handoff_system()
+    assert all(r is s[r].subject for r in s.roles)
+    assert all(r is m.subject for r, m in s.machines.items())
+
+
+@pytest.mark.parametrize("role", ["Z", Role("Z"), ""])
+def test_lookup_of_a_missing_role_names_it(role):
+    with pytest.raises(SystemMismatchError, match=f"no machine for role {role}$"):
+        handoff_system()[role]
+
+
+def test_state_of_a_missing_role_names_it():
+    with pytest.raises(SystemMismatchError, match="no control state for role Z$"):
+        initial_configuration(handoff_system()).state_of("Z")
 
 
 def test_channels_must_stay_inside_the_system(mj):
