@@ -11,6 +11,13 @@ configuration in which a send into a buffer already holding
 frontier), and the whole exploration aborts with a reported resource verdict
 when the visited set would outgrow ``max_states``.  When the frontier was
 never truncated, the reachable set is exact.
+
+Steps of two roles that share no channel commute, so the walk keeps a sleep
+set of roles per configuration (Godefroid and Wolper, 1991): it judges every
+move but builds no successor for a move of a sleeping role, whose successor
+another ordering of the same steps has already reached.  It visits the same
+configurations in the same order and counts the same steps; see
+``explore`` for the rule and why it is safe.
 """
 
 from __future__ import annotations
@@ -155,15 +162,15 @@ SEP = "\x00"
 #: message codes per channel slot (see ``PackedSystem``).
 Packed = str
 
-#: One move of a row, (action, target, is_send, slot, code, bit) with the
-#: machine's own ``Action`` and the target's control string, and the row of a
-#: control string (see ``PackedSystem``).
-Move = tuple[Action, str, bool, int, str, int]
+#: One move of a row, (action, target, is_send, slot, code, role, before,
+#: keep) with the machine's own ``Action`` and the target's control string,
+#: and the row of a control string (see ``PackedSystem``).
+Move = tuple[Action, str, bool, int, str, int, int, int]
 Row = tuple[tuple[Move, ...], bool, bool, int]
 
-#: One way out of a machine state, (slot, direction, code, target, action),
-#: with the target state's control character (see ``PackedSystem``).
-Exit = tuple[int, Direction, str, str, Action]
+#: One way out of a machine state, (slot, direction, code, target, action,
+#: keep), with the target state's control character (see ``PackedSystem``).
+Exit = tuple[int, Direction, str, str, Action, int]
 
 #: The bits of the safety properties a configuration violates, as the third
 #: value of ``_successors`` reports them.
@@ -191,20 +198,25 @@ class PackedSystem:
     met so far to its ``row``, built the first time a walk meets that
     string: every role's outgoing transitions in role order, each in its
     machine's canonical order (``Cfsm.outgoing``'s) as a move
-    ``(action, target, is_send, slot, code, bit)``; whether every role is
-    final (has no moves); whether every role is receiving (never so without
-    a role); and the mask of the receiving roles' bits.  ``target`` is the
-    control string the move leads to.  ``bit`` is the role's bit ``1 << r``
-    when its state is receiving (it has moves and none of them sends), else
-    0.  ``action`` is the machine's own ``Action``.
-    ``_successors`` is the only code that reads rows to judge a configuration.
+    ``(action, target, is_send, slot, code, role, before, keep)``; whether
+    every role is final (has no moves); whether every role is receiving
+    (never so without a role); and the mask of the bits of the roles whose
+    state is receiving (it has moves and none of them sends).  ``target`` is
+    the control string the move leads to.  ``role`` is the role's bit
+    ``1 << r``, ``before`` the bits of the roles before it, ``role - 1``, and
+    ``keep`` every bit but ``role`` and that of the other end of the move's
+    channel: a sleep set (see ``explore``) passes to the move's successor as
+    ``(asleep | before) & keep``.  ``action`` is the machine's own
+    ``Action``.  ``_successors`` is the only code that reads rows to judge a
+    configuration.
 
     A row is assembled from per-role exits, the one place where machine
-    transitions are ordered and resolved into slots and codes: ``__init__``
-    groups each machine's transitions by source state, and the first row
-    that needs a role in a state turns that state's group, once, into sorted
-    ``Exit``s and the role's bit.  These tables belong to the packing, so
-    they live for one walk and a machine holds only its definition.
+    transitions are ordered and resolved into slots, codes and role bits:
+    ``__init__`` groups each machine's transitions by source state, and the
+    first row that needs a role in a state turns that state's group, once,
+    into sorted ``Exit``s and the role's bit.  These tables belong to the
+    packing, so they live for one walk and a machine holds only its
+    definition.
 
     The channels are those some transition uses, and the labels those of the
     machines' alphabets, plus those of ``extra``'s buffers, so that a
@@ -244,12 +256,16 @@ class PackedSystem:
         self._controls: list[dict[str, str]] = []
         # Per role, the exits and bit of each state met so far, by its character.
         self._exits: list[dict[str, tuple[tuple[Exit, ...], int]]] = [{} for _ in roles]
+        # Each role's bit, by name: the channels of transitions join two
+        # roles of ``s``, unlike those of ``extra``'s buffers.
+        self._bits: dict[str, int] = {}
         initial = ""
-        for machine in machines:
+        for r, machine in enumerate(machines):
             states = tuple(sorted(machine.states))
             controls = {q: chr(i) for i, q in enumerate(states, 1)}
             self.states.append(states)
             self._controls.append(controls)
+            self._bits[machine.subject.name] = 1 << r
             initial += controls[machine.initial]
         self.initial: Packed = initial + SEP * len(self.channels)
         self.rows: dict[str, Row] = {}
@@ -263,16 +279,21 @@ class PackedSystem:
         slots, codes, SEND = self._slots, self._codes, Direction.SEND
         for r, (q, exits, states, controls) in enumerate(
                 zip(control, self._exits, self.states, self._controls)):
+            role = 1 << r
             entry = exits.get(q)
             if entry is None:  # the role's first row in this state: build its exits
                 found: list[Exit] = []
-                bit = 1 << r
+                bit = role
                 for _, act, dst in self._leaving[r].pop(states[ord(q) - 1], ()):
+                    ch = act.channel
                     if act.direction is SEND:
                         bit = 0
-                    ch = act.channel
+                        other = ch.receiver
+                    else:
+                        other = ch.sender
                     found.append((slots[ch.sender.name, ch.receiver.name], act.direction,
-                                  codes[act.message.label], controls[dst], act))
+                                  codes[act.message.label], controls[dst], act,
+                                  ~(role | self._bits[other.name])))
                 # Slots, codes and control characters number channels, labels
                 # and states in name order, so this is ``transition_sort_key``'s.
                 found.sort()
@@ -282,8 +303,9 @@ class PackedSystem:
                 continue
             mask |= bit
             head, tail = control[:r], control[r + 1:]
-            for slot, direction, code, dst, act in role_exits:
-                moves.append((act, head + dst + tail, direction is SEND, slot, code, bit))
+            for slot, direction, code, dst, act, keep in role_exits:
+                moves.append((act, head + dst + tail, direction is SEND, slot, code,
+                              role, role - 1, keep))
         receiving = bool(moves) and mask == (1 << len(self.roles)) - 1
         row = self.rows[control] = (tuple(moves), not moves, receiving, mask)
         return row
@@ -339,49 +361,65 @@ def pack_configuration(s: CommunicatingSystem, c: Configuration) -> tuple[Packed
     return packed, packed.encode(c)
 
 
-def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf
-                ) -> tuple[list[tuple[Action, Packed]], bool, int]:
-    """Every step from ``cfg`` as ``(action, successor)``, in row order (one
-    action may have several targets when the machine is nondeterministic),
-    whether a send was suppressed because its buffer already held ``bound``
-    messages, and the bits of the safety properties (see ``safety``) ``cfg``
-    violates.
+def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: int = 0
+                ) -> tuple[list[tuple[Action, Packed, int]], bool, int, int]:
+    """Every step from ``cfg`` as ``(action, successor, sleep)``, in row
+    order (one action may have several targets when the machine is
+    nondeterministic), whether a send was suppressed because its buffer
+    already held ``bound`` messages, the bits of the safety properties (see
+    ``safety``) ``cfg`` violates, and how many steps were skipped.
+
+    ``asleep`` is a mask of role bits (see ``explore``).  A move of a
+    sleeping role is judged like any other (it may be cut at the bound, and
+    a receive sets ``free``), and when it can fire it counts as skipped
+    instead of building a successor.  ``sleep`` is the mask the successor
+    inherits, ``(asleep | before) & keep`` of its move.  With no mask, as
+    ``step``, ``enabled_actions``, ``violations`` and witnesses call it,
+    every step is listed and none skipped.
 
     One pass over the row of ``cfg``'s control string does it all: ``cfg``
     is split once into its parts, and each successor is those parts joined
     with the move's target control and its one changed buffer.  A
     receiving role is blocked unless one of its receives faces an empty
     buffer or one headed by its message; such a receive sets the role's bit
-    in ``free``, so some role is blocked exactly when ``free`` falls short of
-    the row's mask."""
-    out: list[tuple[Action, Packed]] = []
+    in ``free``, so some receiving role is blocked exactly when ``free``
+    misses a bit of the row's mask."""
+    out: list[tuple[Action, Packed, int]] = []
     truncated = False
     free = 0
+    skipped = 0
     parts = cfg.split(SEP)
     control = parts[0]
     moves, final, receiving, mask = p.rows.get(control) or p.row(control)
-    for action, target, is_send, slot, code, bit in moves:
+    for action, target, is_send, slot, code, role, before, keep in moves:
         buf = parts[slot]
         if is_send:
             if len(buf) >= bound:
                 truncated = True
                 continue
+            if role & asleep:
+                skipped += 1
+                continue
             parts[slot] = buf + code
         elif not buf:
-            free |= bit
+            free |= role
             continue
         elif buf[0] == code:
-            free |= bit
+            free |= role
+            if role & asleep:
+                skipped += 1
+                continue
             parts[slot] = buf[1:]
         else:
             continue
         parts[0] = target
-        out.append((action, SEP.join(parts)))
+        out.append((action, SEP.join(parts), (asleep | before) & keep))
         parts[slot] = buf
     if final or receiving:  # deadlock needs empty buffers, orphan message a queued one
         queued = len(cfg) > len(p.initial)
         final, receiving = final and queued, receiving and not queued
-    return out, truncated, DEADLOCK * receiving | ORPHAN_MESSAGE * final | UNSPECIFIED_RECEPTION * (free != mask)
+    flags = DEADLOCK * receiving | ORPHAN_MESSAGE * final | UNSPECIFIED_RECEPTION * (free & mask != mask)
+    return out, truncated, flags, skipped
 
 
 def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[Configuration]:
@@ -391,13 +429,13 @@ def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[
     not belong to the system raises SystemMismatchError instead.
     """
     p, cfg = pack_configuration(s, c)
-    return frozenset(p.decode(nxt) for act, nxt in _successors(p, cfg)[0] if act == action)
+    return frozenset(p.decode(nxt) for act, nxt, _ in _successors(p, cfg)[0] if act == action)
 
 
 def enabled_actions(s: CommunicatingSystem, c: Configuration) -> frozenset[Action]:
     """Exactly the actions with at least one successor at ``c``."""
     p, cfg = pack_configuration(s, c)
-    return frozenset(act for act, _ in _successors(p, cfg)[0])
+    return frozenset(act for act, _, _ in _successors(p, cfg)[0])
 
 
 def violations(s: CommunicatingSystem, c: Configuration) -> int:
@@ -424,9 +462,11 @@ class ExplorationResult:
     configuration that first reached it (``None`` for the initial one, which
     comes first); ``configuration_count`` is its size.  ``first_violations``
     maps each safety property's bit to its first violating key in that
-    order.  ``edge_count`` counts the steps the walk took: every successor of
-    every explored configuration when the walk ran to its end, and only the
-    steps taken before the abort when the state budget was exhausted.
+    order.  ``edge_count`` counts the steps the walk took, built or skipped
+    (see ``explore``): every step of every explored configuration when the
+    walk ran to its end, and when the state budget was exhausted only the
+    steps before the abort, which in the aborting configuration are those
+    before the refused step in row order.
 
     No action or edge is stored.  The views decode on demand:
     ``discovery_order``, and ``reachable`` from it, every configuration;
@@ -469,7 +509,7 @@ class ExplorationResult:
             # the action, so exactly one of the parent's successors at the
             # walk's bound reaches ``cfg``.
             succ = _successors(self.packing, parent, self.max_buffer_bound)[0]
-            out.append((next(act for act, nxt in succ if nxt == cfg), cfg))
+            out.append((next(act for act, nxt, _ in succ if nxt == cfg), cfg))
             cfg = parent
         return out[::-1]
 
@@ -504,6 +544,34 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
     admit more than ``max_states`` configurations.  Violations are noted as
     configurations are expanded, and, after an aborted walk, for those never
     expanded.  ``jobs`` is accepted for compatibility and ignored.
+
+    Each frontier entry carries a sleep mask of roles, set by the
+    configuration that first reached it; the initial one's is 0.  When ``s``
+    reaches a child by a step ``b`` of role ``B`` on channel ``k``, the
+    child's mask is ``asleep(s)`` and the roles before ``B``, less ``B`` and
+    the other end of ``k``.  ``_successors`` judges every move but builds no
+    successor for a move of a sleeping role, and the walk counts those moves
+    as steps.
+
+    The invariant: a skipped step leads to a configuration already in
+    ``parents`` when its source is expanded.  A slot has one sender and one
+    receiver, so two steps of roles that share no channel touch different
+    buffers: each stays enabled, or cut at the bound, after the other, and
+    both orders end in one configuration.  Let ``A`` be asleep at ``s·b``
+    with a step ``a``; ``A`` is neither ``B`` nor ``k``'s other end, so
+    ``a`` is a step of ``s`` too.  Either ``A`` was asleep at ``s``, so
+    ``s·a`` was in ``parents`` already, or ``A`` comes before ``B`` in the
+    row, so ``s`` reached ``s·a`` before ``s·b``.  Either way ``s·a`` is
+    expanded before ``s·b``, and that expansion reaches ``s·a·b = s·b·a``
+    or, ``B`` being asleep there, finds it in ``parents``.
+
+    So the walk admits the same configurations in the same order with the
+    same parents as one that builds every step, and ``edge_count`` counts
+    every step of every expanded configuration.  When the budget refuses a
+    configuration, only the steps of its source that come before the
+    refused one in row order count: the source's steps are listed again
+    with no mask, and the refused one is the first of them not in
+    ``parents``.
     """
     if max_buffer_bound < 1 or max_states < 1:
         raise ValueError("bounds must be at least 1")
@@ -519,27 +587,32 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
     truncated = False
     exhausted = False
     frontier: list[Packed] = [p.initial]
+    asleep: list[int] = [0]
     while frontier and not exhausted:
         next_frontier: list[Packed] = []
+        next_asleep: list[int] = []
         for i, cfg in enumerate(frontier):
-            succ, cut, flags = _successors(p, cfg, max_buffer_bound)
+            succ, cut, flags, skipped = _successors(p, cfg, max_buffer_bound, asleep[i])
             truncated = truncated or cut
             if flags:
                 note(flags, cfg)
-            for _, nxt in succ:
+            for _, nxt, sleep in succ:
                 if nxt not in parents:
                     if len(parents) >= max_states:
                         exhausted = True
                         break
                     parents[nxt] = cfg
                     next_frontier.append(nxt)
-                edges += 1
+                    next_asleep.append(sleep)
             if exhausted:
+                steps = _successors(p, cfg, max_buffer_bound)[0]
+                edges += next(n for n, (_, nxt, _) in enumerate(steps) if nxt not in parents)
                 # Admitted but never expanded, in discovery order.
                 for late in frontier[i + 1:] + next_frontier:
                     note(_successors(p, late)[2], late)
                 break
-        frontier = next_frontier
+            edges += len(succ) + skipped
+        frontier, asleep = next_frontier, next_asleep
     return ExplorationResult(
         frontier_truncated=truncated,
         max_buffer_bound=max_buffer_bound,

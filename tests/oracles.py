@@ -8,6 +8,8 @@ string/tuple data.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from cfsmkit import CommunicatingSystem, ErasedAutomaton
 
 
@@ -197,3 +199,55 @@ def naive_bounded_safety(s: CommunicatingSystem, bound: int,
                 seen.add(nxt)
                 stack.append(nxt)
     return found
+
+
+class Walk(NamedTuple):
+    """The record of ``naive_walk``, configurations as in ``naive_reachable``."""
+
+    order: list            # every admitted configuration, in discovery order
+    parents: dict          # each one's first discoverer; None for the initial one
+    edge_count: int
+    truncated: bool
+    exhausted: bool
+    first: dict            # each violated property's first violator, by name
+
+
+def naive_walk(s: CommunicatingSystem, bound: int, max_states: int = 500_000) -> Walk:
+    """Re-derive ``explore``'s whole record with a plain breadth-first search.
+
+    Steps are taken in the engine's row order: roles in order, and each
+    machine's transitions as ``Cfsm.outgoing`` sorts them, by channel,
+    direction (``!`` before ``?``), label and target.  Every step of every
+    expanded configuration counts as an edge; when a new configuration would
+    exceed ``max_states`` the walk stops, and only the steps before that one
+    count.  Violations are looked up in every admitted configuration, in
+    discovery order.
+    """
+    roles, tables, initial = plain_system(s)
+    ordered = {role: {q: sorted(entries, key=lambda e: (e[1], "!" if e[0] == "send" else "?",
+                                                          e[2], e[3]))
+                      for q, entries in per_state.items()}
+               for role, per_state in tables.items()}
+    start = (initial, ())
+    parents: dict = {start: None}
+    order = [start]
+    edges = 0
+    truncated = exhausted = False
+    for cfg in order:  # grows as the walk admits configurations
+        succ, cut = _plain_successors(roles, ordered, bound, cfg)
+        truncated = truncated or cut
+        for nxt in succ:
+            if nxt not in parents:
+                if len(parents) >= max_states:
+                    exhausted = True
+                    break
+                parents[nxt] = cfg
+                order.append(nxt)
+            edges += 1
+        if exhausted:
+            break
+    first: dict = {}
+    for cfg in order:
+        for name in naive_violations(roles, tables, cfg):
+            first.setdefault(name, cfg)
+    return Walk(order, parents, edges, truncated, exhausted, first)

@@ -37,8 +37,10 @@ from cfsmkit import (
 from cfsmkit.cfsm import mixed_states
 from cfsmkit.gtir import load_global_types, parse_gtir
 from cfsmkit.safety import report_from_exploration
+import cfsmkit.system
 from cfsmkit.system import (
     DEADLOCK,
+    ORPHAN_MESSAGE,
     SEP,
     UNSPECIFIED_RECEPTION,
     PackedSystem,
@@ -52,6 +54,7 @@ from oracles import (
     naive_bounded_safety,
     naive_reachable,
     naive_violations,
+    naive_walk,
     plain_system,
 )
 
@@ -390,14 +393,19 @@ def test_parallel_exploration_is_identical(relay_expr):
 
 @st.composite
 def small_systems(draw):
-    """Systems of 2-3 roles, each machine with at most 3 states."""
-    names = ["A", "B", "C"][:draw(st.integers(2, 3))]
+    """Systems of 2-4 roles, each machine with at most 3 states, on a sparse
+    partner graph: no more links than roles, so roles that share no channel,
+    whose commuting steps the walk builds in one order only, are common.  A
+    role with partners has 1-4 transitions, one without none."""
+    names = ["A", "B", "C", "D"][:draw(st.integers(2, 4))]
+    links = draw(st.sets(st.sampled_from(list(itertools.combinations(names, 2))),
+                         min_size=1, max_size=len(names)))
     machines = {}
     for role in names:
         states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
-        partners = [r for r in names if r != role]
+        partners = [b if a == role else a for a, b in sorted(links) if role in (a, b)]
         transitions = []
-        for _ in range(draw(st.integers(0, 4))):
+        for _ in range(draw(st.integers(1, 4)) if partners else 0):
             src, dst = draw(st.sampled_from(states)), draw(st.sampled_from(states))
             other, msg = draw(st.sampled_from(partners)), draw(st.sampled_from(["a", "b"]))
             act = (Action.send(role, other, msg) if draw(st.booleans())
@@ -519,12 +527,17 @@ def test_rows_list_each_roles_outgoing_transitions_in_canonical_order(s):
         moves = p.row(control)[0]
         expected = [t for r, q in zip(s.roles, states) for t in s[r].outgoing(q)]
         got = []
-        for act, target, is_send, slot, code, _ in moves:
+        for act, target, is_send, slot, code, role, before, keep in moves:
             r = s.roles.index(act.subject)
             got.append((states[r], act, p.states[r][ord(target[r]) - 1]))
             assert target[:r] + target[r + 1:] == control[:r] + control[r + 1:]
             assert is_send == (act.direction is Direction.SEND)
             assert (p.channels[slot - 1], p._messages[code]) == (act.channel, act.message)
+            # The sleep-set masks: the role's bit, the roles before it, and
+            # every role but it and the other end of its channel.
+            other = act.channel.receiver if is_send else act.channel.sender
+            assert (role, before) == (1 << r, (1 << r) - 1)
+            assert keep == ~(role | 1 << s.roles.index(other))
         assert got == expected
     for r in s.roles:
         m = s[r]
@@ -642,12 +655,13 @@ def assert_parents_fix_their_steps(result):
         assert id(parent) in keys
         depth[cfg] = depth[parent] + 1  # a KeyError if the parent came later
         succ = _successors(p, parent, bound)[0]
-        assert sum(nxt == cfg for _, nxt in succ) == 1
+        assert sum(nxt == cfg for _, nxt, _ in succ) == 1
     levels = list(depth.values())
     assert levels == sorted(levels)
     edges = 0
     for cfg in result.packed_parents:
-        for _, nxt in _successors(p, cfg, bound)[0]:
+        # With no sleep mask: every step, none skipped.
+        for _, nxt, _ in _successors(p, cfg, bound)[0]:
             if nxt in depth:
                 assert depth[nxt] <= depth[cfg] + 1
                 edges += 1
@@ -703,6 +717,73 @@ def test_verdicts_under_every_state_budget(s, bound):
             verdict = getattr(report, name)
             assert verdict.violated == (first is not None)
             assert verdict.witness_configuration == first
+
+
+PROPERTY_NAMES = {DEADLOCK: "deadlock", ORPHAN_MESSAGE: "orphan_message",
+                  UNSPECIFIED_RECEPTION: "unspecified_reception"}
+
+
+def assert_walk_is_the_reference_walk(s, bound, max_states=500_000):
+    # The whole record of the walk, in order, is the plain walk's: which
+    # configurations, their order and parents, the edge count, the flags and
+    # each property's first violator.
+    result = explore(s, max_buffer_bound=bound, max_states=max_states)
+    walk = naive_walk(s, bound, max_states)
+    decode = result.packing.decode
+    order = [plain(c) for c in result.discovery_order]
+    assert order == walk.order
+    assert [None if parent is None else plain(decode(parent))
+            for parent in result.packed_parents.values()] == [walk.parents[c] for c in order]
+    assert result.edge_count == walk.edge_count
+    assert result.frontier_truncated == walk.truncated
+    assert result.state_budget_exhausted == walk.exhausted
+    assert {PROPERTY_NAMES[bit]: plain(decode(key))
+            for bit, key in result.first_violations.items()} == walk.first
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems(), st.integers(1, 3))
+def test_the_walk_is_the_reference_walk_under_every_budget(s, bound):
+    # The walk builds no successor for a move of a sleeping role, but still
+    # counts it, and when the budget stops it counts only the steps before
+    # the refused one, in row order.  Every budget up to the full count, or
+    # up to 250 for the few larger walks drawn, whose sweep would be slow.
+    count = assert_walk_is_the_reference_walk(s, bound).configuration_count
+    for budget in range(1, min(count, 250) + 1):
+        assert_walk_is_the_reference_walk(s, bound, budget)
+
+
+def count_skipped_steps(monkeypatch) -> list[int]:
+    """Make ``explore`` add up its steps built and skipped, in that order."""
+    counts = [0, 0]
+
+    def counted(p, cfg, bound=math.inf, asleep=0):
+        out = _successors(p, cfg, bound, asleep)
+        counts[0] += len(out[0])
+        counts[1] += out[3]
+        return out
+
+    monkeypatch.setattr(cfsmkit.system, "_successors", counted)
+    return counts
+
+
+# Some budgets stop the walk at a configuration with skipped steps after the
+# refused one (106, 183 and 883 do), which must not count.
+@pytest.mark.parametrize("bound, budgets", [(1, (1, 2, 3, 106, 617)), (2, (57, 183, 2222)),
+                                            (3, (883, 4444))])
+def test_the_working_example_walk_is_the_reference_walk(data_dir, monkeypatch, bound, budgets):
+    # Most of the working example's roles share no channel: the walk builds
+    # well under half of its steps, and its record is still the plain walk's.
+    expr = parse_gtir((data_dir / "composed.gtir").read_text(), load_global_types(str(data_dir)))
+    s = semantics(expr)
+    counts = count_skipped_steps(monkeypatch)
+    result = assert_walk_is_the_reference_walk(s, bound)
+    built, skipped = counts
+    assert built + skipped == result.edge_count
+    assert skipped / result.edge_count > 0.6
+    for budget in budgets:
+        assert_walk_is_the_reference_walk(s, bound, budget)
 
 
 def test_violation_in_a_configuration_admitted_but_never_expanded():
