@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="accepted for compatibility and ignored: exploration is sequential")
     p_check.add_argument("--types", help="directory of named global types (default: the input's directory)")
     p_check.add_argument("--check-base-safety", action="store_true",
-                         help="also check each base component's system")
+                         help="also check each base component's system (expression input "
+                              "only: a system file has no bases)")
     p_check.add_argument("--format", choices=["text", "json"], default="text",
                          help="report format (default: text)")
     p_check.add_argument("--out", help="output path (default: stdout)")

@@ -37,7 +37,6 @@ from .cfsm import (
     Message,
     Role,
     RoleLike,
-    Transition,
     as_message,
     as_role,
     machine_from_doc,
@@ -162,15 +161,15 @@ SEP = "\x00"
 #: message codes per channel slot (see ``PackedSystem``).
 Packed = str
 
-#: One move of a row, (action, target, is_send, slot, code, role, before,
-#: keep) with the machine's own ``Action`` and the target's control string,
-#: and the row of a control string (see ``PackedSystem``).
-Move = tuple[Action, str, bool, int, str, int, int, int]
+#: One move of a row, (action, target, is_send, slot, code, role, keep) with
+#: the machine's own ``Action`` and the target's control string, and the row
+#: of a control string (see ``PackedSystem``).
+Move = tuple[Action, str, bool, int, str, int, int]
 Row = tuple[tuple[Move, ...], bool, bool, int]
 
-#: One way out of a machine state, (slot, direction, code, target, action,
+#: One way out of a machine state, (slot, is_send, code, target, action,
 #: keep), with the target state's control character (see ``PackedSystem``).
-Exit = tuple[int, Direction, str, str, Action, int]
+Exit = tuple[int, bool, str, str, Action, int]
 
 #: The bits of the safety properties a configuration violates, as the third
 #: value of ``_successors`` reports them.
@@ -198,25 +197,26 @@ class PackedSystem:
     met so far to its ``row``, built the first time a walk meets that
     string: every role's outgoing transitions in role order, each in its
     machine's canonical order (``Cfsm.outgoing``'s) as a move
-    ``(action, target, is_send, slot, code, role, before, keep)``; whether
-    every role is final (has no moves); whether every role is receiving
-    (never so without a role); and the mask of the bits of the roles whose
-    state is receiving (it has moves and none of them sends).  ``target`` is
-    the control string the move leads to.  ``role`` is the role's bit
-    ``1 << r``, ``before`` the bits of the roles before it, ``role - 1``, and
-    ``keep`` every bit but ``role`` and that of the other end of the move's
-    channel: a sleep set (see ``explore``) passes to the move's successor as
-    ``(asleep | before) & keep``.  ``action`` is the machine's own
-    ``Action``.  ``_successors`` is the only code that reads rows to judge a
-    configuration.
+    ``(action, target, is_send, slot, code, role, keep)``; whether every
+    role is final (has no moves); whether every role is receiving (never so
+    without a role); and the mask of the bits of the roles whose state is
+    receiving (it has moves and none of them sends).  ``target`` is the
+    control string the move leads to.  ``role`` is the role's bit
+    ``1 << r``, so ``role - 1`` is the bits of the roles before it, and
+    ``keep`` is every bit but ``role`` and that of the other end of the
+    move's channel: a sleep set (see ``explore``) passes to the move's
+    successor as ``(asleep | role - 1) & keep``.  ``action`` is the
+    machine's own ``Action``.  ``_successors`` is the only code that reads
+    rows to judge a configuration.
 
     A row is assembled from per-role exits, the one place where machine
-    transitions are ordered and resolved into slots, codes and role bits:
-    ``__init__`` groups each machine's transitions by source state, and the
-    first row that needs a role in a state turns that state's group, once,
-    into sorted ``Exit``s and the role's bit.  These tables belong to the
-    packing, so they live for one walk and a machine holds only its
-    definition.
+    transitions are ordered and resolved into slots, codes and role bits.
+    ``__init__`` only numbers channels, labels and states: the first row
+    that needs a role in a state scans that role's machine for the state's
+    transitions, once, and turns them into sorted ``Exit``s and the role's
+    bit.  So no state is tabulated before a row meets it.  These tables
+    belong to the packing, so they live for one walk and a machine holds
+    only its definition.
 
     The channels are those some transition uses, and the labels those of the
     machines' alphabets, plus those of ``extra``'s buffers, so that a
@@ -226,20 +226,12 @@ class PackedSystem:
 
     def __init__(self, s: CommunicatingSystem, extra: Optional[Configuration] = None):
         self.roles = roles = s.roles
-        machines = [s._machines[r.name] for r in roles]
+        self._machines = machines = [s._machines[r.name] for r in roles]
         # Keyed by names: string keys hash and compare in C.
-        channels: dict[tuple[str, str], Channel] = {}
+        channels = {(ch.sender.name, ch.receiver.name): ch
+                    for machine in machines for _, act, _ in machine.transitions
+                    for ch in (act.channel,)}
         messages = {m.label: m for machine in machines for m in machine.messages}
-        # Per role, each state's outgoing transitions, until ``row`` builds
-        # that state's exits from them.
-        self._leaving: list[dict[str, list[Transition]]] = []
-        for machine in machines:
-            leaving: dict[str, list[Transition]] = {}
-            for t in machine.transitions:
-                ch = t[1].channel
-                channels[ch.sender.name, ch.receiver.name] = ch
-                leaving.setdefault(t[0], []).append(t)
-            self._leaving.append(leaving)
         if extra is not None:
             for ch, msgs in extra.buffers:
                 channels[ch.sender.name, ch.receiver.name] = ch
@@ -251,23 +243,17 @@ class PackedSystem:
         labels = sorted(messages)
         self._codes = codes = {label: chr(i) for i, label in enumerate(labels, 1)}
         self._messages = {codes[label]: messages[label] for label in labels}
-        self.states: list[tuple[str, ...]] = []
+        self.states = [tuple(sorted(machine.states)) for machine in machines]
         # Per role, each state's character in the control string.
-        self._controls: list[dict[str, str]] = []
+        self._controls = [{q: chr(i) for i, q in enumerate(states, 1)} for states in self.states]
         # Per role, the exits and bit of each state met so far, by its character.
         self._exits: list[dict[str, tuple[tuple[Exit, ...], int]]] = [{} for _ in roles]
         # Each role's bit, by name: the channels of transitions join two
         # roles of ``s``, unlike those of ``extra``'s buffers.
-        self._bits: dict[str, int] = {}
-        initial = ""
-        for r, machine in enumerate(machines):
-            states = tuple(sorted(machine.states))
-            controls = {q: chr(i) for i, q in enumerate(states, 1)}
-            self.states.append(states)
-            self._controls.append(controls)
-            self._bits[machine.subject.name] = 1 << r
-            initial += controls[machine.initial]
-        self.initial: Packed = initial + SEP * len(self.channels)
+        self._bits = {machine.subject.name: 1 << r for r, machine in enumerate(machines)}
+        self.initial: Packed = "".join(
+            [controls[machine.initial] for controls, machine in zip(self._controls, machines)]
+        ) + SEP * len(self.channels)
         self.rows: dict[str, Row] = {}
 
     def row(self, control: str) -> Row:
@@ -276,36 +262,34 @@ class PackedSystem:
         a row needs it in that state."""
         moves: list[Move] = []
         mask = 0
-        slots, codes, SEND = self._slots, self._codes, Direction.SEND
-        for r, (q, exits, states, controls) in enumerate(
-                zip(control, self._exits, self.states, self._controls)):
+        slots, codes, bits, SEND = self._slots, self._codes, self._bits, Direction.SEND
+        for r, (q, exits) in enumerate(zip(control, self._exits)):
             role = 1 << r
             entry = exits.get(q)
             if entry is None:  # the role's first row in this state: build its exits
+                state, controls = self.states[r][ord(q) - 1], self._controls[r]
                 found: list[Exit] = []
-                bit = role
-                for _, act, dst in self._leaving[r].pop(states[ord(q) - 1], ()):
-                    ch = act.channel
-                    if act.direction is SEND:
-                        bit = 0
-                        other = ch.receiver
-                    else:
-                        other = ch.sender
-                    found.append((slots[ch.sender.name, ch.receiver.name], act.direction,
-                                  codes[act.message.label], controls[dst], act,
-                                  ~(role | self._bits[other.name])))
+                for src, act, dst in self._machines[r].transitions:
+                    if src == state:
+                        ch = act.channel
+                        is_send = act.direction is SEND
+                        other = ch.receiver if is_send else ch.sender
+                        found.append((slots[ch.sender.name, ch.receiver.name], is_send,
+                                      codes[act.message.label], controls[dst], act,
+                                      ~(role | bits[other.name])))
                 # Slots, codes and control characters number channels, labels
-                # and states in name order, so this is ``transition_sort_key``'s.
+                # and states in name order, and a role only sends or only
+                # receives on a channel, so this is ``transition_sort_key``'s.
                 found.sort()
-                entry = exits[q] = (tuple(found), bit if found else 0)
+                receiving = found and not any(is_send for _, is_send, *_ in found)
+                entry = exits[q] = (tuple(found), role if receiving else 0)
             role_exits, bit = entry
             if not role_exits:  # a final state: no moves, not receiving
                 continue
             mask |= bit
             head, tail = control[:r], control[r + 1:]
-            for slot, direction, code, dst, act, keep in role_exits:
-                moves.append((act, head + dst + tail, direction is SEND, slot, code,
-                              role, role - 1, keep))
+            for slot, is_send, code, dst, act, keep in role_exits:
+                moves.append((act, head + dst + tail, is_send, slot, code, role, keep))
         receiving = bool(moves) and mask == (1 << len(self.roles)) - 1
         row = self.rows[control] = (tuple(moves), not moves, receiving, mask)
         return row
@@ -373,9 +357,12 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: i
     sleeping role is judged like any other (it may be cut at the bound, and
     a receive sets ``free``), and when it can fire it counts as skipped
     instead of building a successor.  ``sleep`` is the mask the successor
-    inherits, ``(asleep | before) & keep`` of its move.  With no mask, as
-    ``step``, ``enabled_actions``, ``violations`` and witnesses call it,
-    every step is listed and none skipped.
+    inherits, ``(asleep | role - 1) & keep`` of its move.  With no mask, as
+    ``step``, ``enabled_actions`` and witnesses call it, every step is
+    listed and none skipped.  With bound 0 and mask -1, as ``violations``
+    and ``explore`` (for configurations admitted but never expanded) call
+    it, every send is cut and every role asleep: every move is judged, the
+    flags are the same, and no successor is built.
 
     One pass over the row of ``cfg``'s control string does it all: ``cfg``
     is split once into its parts, and each successor is those parts joined
@@ -391,7 +378,7 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: i
     parts = cfg.split(SEP)
     control = parts[0]
     moves, final, receiving, mask = p.rows.get(control) or p.row(control)
-    for action, target, is_send, slot, code, role, before, keep in moves:
+    for action, target, is_send, slot, code, role, keep in moves:
         buf = parts[slot]
         if is_send:
             if len(buf) >= bound:
@@ -413,7 +400,7 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: i
         else:
             continue
         parts[0] = target
-        out.append((action, SEP.join(parts), (asleep | before) & keep))
+        out.append((action, SEP.join(parts), (asleep | role - 1) & keep))
         parts[slot] = buf
     if final or receiving:  # deadlock needs empty buffers, orphan message a queued one
         queued = len(cfg) > len(p.initial)
@@ -441,7 +428,8 @@ def enabled_actions(s: CommunicatingSystem, c: Configuration) -> frozenset[Actio
 def violations(s: CommunicatingSystem, c: Configuration) -> int:
     """The bits (``DEADLOCK``, ``ORPHAN_MESSAGE``, ``UNSPECIFIED_RECEPTION``)
     of the safety properties ``c`` violates."""
-    return _successors(*pack_configuration(s, c))[2]
+    p, cfg = pack_configuration(s, c)
+    return _successors(p, cfg, 0, -1)[2]
 
 
 Path = tuple[tuple[Action, Configuration], ...]
@@ -609,7 +597,7 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
                 edges += next(n for n, (_, nxt, _) in enumerate(steps) if nxt not in parents)
                 # Admitted but never expanded, in discovery order.
                 for late in frontier[i + 1:] + next_frontier:
-                    note(_successors(p, late)[2], late)
+                    note(_successors(p, late, 0, -1)[2], late)
                 break
             edges += len(succ) + skipped
         frontier, asleep = next_frontier, next_asleep

@@ -150,7 +150,7 @@ def test_protocols_nested_at_the_limit_project_and_check(tmp_path, capsys):
 def test_compat_fixture_pair_exits_0(data_dir, capsys):
     code, out, _ = run(capsys, "compat", str(data_dir / "mj.cfsm"), str(data_dir / "mk.cfsm"))
     assert code == 0
-    assert "compatible" in out
+    assert out == "compatible\n"
 
 
 def test_compat_self_pair_reports_separating_word(data_dir, capsys):
@@ -163,19 +163,24 @@ def test_compat_self_pair_reports_separating_word(data_dir, capsys):
     assert doc["failures"][0]["separating_word"] == ["!text"]
 
 
-@pytest.mark.parametrize("extra, failure", [
+@pytest.mark.parametrize("extra, failure, line", [
     (("2", Action.send("J", "M", "text"), "2"),
-     {"kind": "mixed-state", "role": "J", "state": "2"}),
+     {"kind": "mixed-state", "role": "J", "state": "2"},
+     "machine J has mixed state '2'"),
     (("1", Action.send("J", "M", "text"), "1"),
      {"kind": "not-io-deterministic", "role": "J",
-      "witness": ["1 -JM!text-> 1", "1 -JM!text-> 2"]}),
+      "witness": ["1 -JM!text-> 1", "1 -JM!text-> 2"]},
+     "machine J is not ?!-deterministic: 1 -JM!text-> 1 vs 1 -JM!text-> 2"),
 ], ids=["mixed-state", "not-io-deterministic"])
-def test_compat_json_documents_each_kind_of_failure(data_dir, tmp_path, capsys, extra, failure):
+def test_compat_json_documents_each_kind_of_failure(data_dir, tmp_path, capsys, extra, failure,
+                                                    line):
     # The extra send of the submitter J also lets it send text twice in a row.
+    # The JSON document lists each failure, and the text report says each.
     left = tmp_path / "j.cfsm"
     left.write_text(serialize_machine(
         Cfsm.make("J", "1", set(submitter_machine().transitions) | {extra})))
-    code, out, _ = run(capsys, "compat", str(left), str(data_dir / "mk.cfsm"), "--format", "json")
+    argv = ("compat", str(left), str(data_dir / "mk.cfsm"))
+    code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
     assert json.loads(out) == {
         "schema": "cfsmkit.compat/1",
@@ -183,6 +188,10 @@ def test_compat_json_documents_each_kind_of_failure(data_dir, tmp_path, capsys, 
         "failures": [{"kind": "language-mismatch", "separating_word": ["!text", "!text"]},
                      failure],
     }
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == ("incompatible:\n  - language mismatch, separated by !text·!text\n"
+                   f"  - {line}\n")
 
 
 def test_compat_malformed_file_exits_2(tmp_path, data_dir, capsys):

@@ -421,6 +421,13 @@ def plain(c: Configuration):
                   for ch, msgs in c.buffers))
 
 
+def assert_exits_only_where_rows_went(p: PackedSystem) -> None:
+    # No machine state is tabulated before a row meets it: the packing's
+    # per-role exit tables hold exactly the (role, state) pairs of its rows.
+    assert {(r, q) for r, exits in enumerate(p._exits) for q in exits} == {
+        (r, q) for control in p.rows for r, q in enumerate(control)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_systems(), st.integers(1, 3))
 def test_exploration_agrees_with_the_reachability_oracle(s, bound):
@@ -428,6 +435,7 @@ def test_exploration_agrees_with_the_reachability_oracle(s, bound):
     reachable, truncated = naive_reachable(s, bound)
     assert frozenset(plain(c) for c in result.reachable) == reachable
     assert result.frontier_truncated == truncated
+    assert_exits_only_where_rows_went(result.packing)
     assert_parents_fix_their_steps(result)
     report = check_safety(s, max_buffer_bound=bound)
     expected = naive_bounded_safety(s, bound=bound)
@@ -527,16 +535,16 @@ def test_rows_list_each_roles_outgoing_transitions_in_canonical_order(s):
         moves = p.row(control)[0]
         expected = [t for r, q in zip(s.roles, states) for t in s[r].outgoing(q)]
         got = []
-        for act, target, is_send, slot, code, role, before, keep in moves:
+        for act, target, is_send, slot, code, role, keep in moves:
             r = s.roles.index(act.subject)
             got.append((states[r], act, p.states[r][ord(target[r]) - 1]))
             assert target[:r] + target[r + 1:] == control[:r] + control[r + 1:]
             assert is_send == (act.direction is Direction.SEND)
             assert (p.channels[slot - 1], p._messages[code]) == (act.channel, act.message)
-            # The sleep-set masks: the role's bit, the roles before it, and
-            # every role but it and the other end of its channel.
+            # The sleep-set masks: the role's bit, and every role but it and
+            # the other end of its channel.
             other = act.channel.receiver if is_send else act.channel.sender
-            assert (role, before) == (1 << r, (1 << r) - 1)
+            assert role == 1 << r
             assert keep == ~(role | 1 << s.roles.index(other))
         assert got == expected
     for r in s.roles:
@@ -677,15 +685,18 @@ def test_each_parent_reaches_its_child_by_one_step_in_the_relay(relay_expr):
 @pytest.mark.parametrize("call", ["violations", "step", "enabled_actions"])
 def test_an_api_call_builds_only_its_configurations_row(relay_expr, monkeypatch, call):
     # The engine has no per-state table: one call on one configuration builds
-    # the row of that configuration's control vector, and no other.
+    # the row of that configuration's control vector, and no other, and
+    # tabulates only the machine states of that row (9 of the 36).
     s = semantics(relay_expr)
     configurations = explore(s, max_buffer_bound=2).discovery_order[::500]
     controls = [pack_configuration(s, c)[1].split(SEP)[0] for c in configurations]
     built: list[str] = []
+    packings: list[PackedSystem] = []
     build = PackedSystem.row
 
     def counted(self, control):
         built.append(control)
+        packings.append(self)
         return build(self, control)
 
     monkeypatch.setattr(PackedSystem, "row", counted)
@@ -698,6 +709,7 @@ def test_an_api_call_builds_only_its_configurations_row(relay_expr, monkeypatch,
         else:
             enabled_actions(s, c)
         assert built == [control], str(c)
+        assert_exits_only_where_rows_went(packings[-1])
 
 
 @settings(max_examples=40, deadline=None)
