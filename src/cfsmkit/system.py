@@ -37,6 +37,7 @@ from .cfsm import (
     Message,
     Role,
     RoleLike,
+    Transition,
     as_message,
     as_role,
     machine_from_doc,
@@ -161,15 +162,11 @@ SEP = "\x00"
 #: message codes per channel slot (see ``PackedSystem``).
 Packed = str
 
-#: One move of a row, (action, target, is_send, slot, code, role, keep) with
-#: the machine's own ``Action`` and the target's control string, and the row
-#: of a control string (see ``PackedSystem``).
-Move = tuple[Action, str, bool, int, str, int, int]
-Row = tuple[tuple[Move, ...], bool, bool, int]
-
-#: One way out of a machine state, (slot, is_send, code, target, action,
-#: keep), with the target state's control character (see ``PackedSystem``).
-Exit = tuple[int, bool, str, str, Action, int]
+#: One move of a row, (action, target, is_send, slot, code, role) with the
+#: machine's own ``Action`` and the target's control string, and the row of
+#: a control string, (moves, mask) (see ``PackedSystem``).
+Move = tuple[Action, str, bool, int, str, int]
+Row = tuple[tuple[Move, ...], int]
 
 #: The bits of the safety properties a configuration violates, as the third
 #: value of ``_successors`` reports them.
@@ -197,26 +194,22 @@ class PackedSystem:
     met so far to its ``row``, built the first time a walk meets that
     string: every role's outgoing transitions in role order, each in its
     machine's canonical order (``Cfsm.outgoing``'s) as a move
-    ``(action, target, is_send, slot, code, role, keep)``; whether every
-    role is final (has no moves); whether every role is receiving (never so
-    without a role); and the mask of the bits of the roles whose state is
-    receiving (it has moves and none of them sends).  ``target`` is the
-    control string the move leads to.  ``role`` is the role's bit
-    ``1 << r``, so ``role - 1`` is the bits of the roles before it, and
-    ``keep`` is every bit but ``role`` and that of the other end of the
-    move's channel: a sleep set (see ``explore``) passes to the move's
-    successor as ``(asleep | role - 1) & keep``.  ``action`` is the
-    machine's own ``Action``.  ``_successors`` is the only code that reads
-    rows to judge a configuration.
+    ``(action, target, is_send, slot, code, role)``, and the mask of the
+    bits of the roles whose state is receiving (it has moves and none of
+    them sends).  ``target`` is the control string the move leads to.
+    ``role`` is the role's bit ``1 << r``, so ``role - 1`` is the bits of
+    the roles before it.  ``action`` is the machine's own ``Action``.
+    ``keeps[slot]`` is every role bit but those of the two ends of channel
+    ``slot``: a sleep set (see ``explore``) passes to a move's successor as
+    ``(asleep | role - 1) & keeps[slot]``.  ``_successors`` is the only
+    code that reads rows to judge a configuration.
 
-    A row is assembled from per-role exits, the one place where machine
-    transitions are ordered and resolved into slots, codes and role bits.
-    ``__init__`` only numbers channels, labels and states: the first row
-    that needs a role in a state scans that role's machine for the state's
-    transitions, once, and turns them into sorted ``Exit``s and the role's
-    bit.  So no state is tabulated before a row meets it.  These tables
-    belong to the packing, so they live for one walk and a machine holds
-    only its definition.
+    ``__init__`` numbers channels, labels and states and groups each
+    machine's transitions by source state, once; a row resolves the groups
+    of its roles' states into slots, codes and target controls and sorts
+    them, so rows are the only table a walk builds.  These tables belong to
+    the packing, so they live for one walk and a machine holds only its
+    definition.
 
     The channels are those some transition uses, and the labels those of the
     machines' alphabets, plus those of ``extra``'s buffers, so that a
@@ -226,11 +219,17 @@ class PackedSystem:
 
     def __init__(self, s: CommunicatingSystem, extra: Optional[Configuration] = None):
         self.roles = roles = s.roles
-        self._machines = machines = [s._machines[r.name] for r in roles]
+        machines = [s._machines[r.name] for r in roles]
         # Keyed by names: string keys hash and compare in C.
-        channels = {(ch.sender.name, ch.receiver.name): ch
-                    for machine in machines for _, act, _ in machine.transitions
-                    for ch in (act.channel,)}
+        channels: dict[tuple[str, str], Channel] = {}
+        # Per role, the transitions leaving each state, by the state's name:
+        # a row resolves only those of the states it meets.
+        self._leaving: list[dict[str, list[Transition]]] = [{} for _ in roles]
+        for machine, leaving in zip(machines, self._leaving):
+            for t in machine.transitions:
+                ch = t[1].channel
+                channels[ch.sender.name, ch.receiver.name] = ch
+                leaving.setdefault(t[0], []).append(t)
         messages = {m.label: m for machine in machines for m in machine.messages}
         if extra is not None:
             for ch, msgs in extra.buffers:
@@ -240,17 +239,18 @@ class PackedSystem:
         channel_keys = sorted(channels)
         self.channels = tuple([channels[key] for key in channel_keys])
         self._slots = {key: 1 + k for k, key in enumerate(channel_keys)}
+        # By slot, every role bit but those of the channel's two ends (slot 0
+        # is the control string).  A channel of ``extra``'s buffers may name
+        # a role outside ``s``, which ``encode`` rejects.
+        bits = {machine.subject.name: 1 << r for r, machine in enumerate(machines)}
+        self.keeps = [0] + [~(bits.get(a, 0) | bits.get(b, 0)) for a, b in channel_keys]
+        self.full = (1 << len(roles)) - 1
         labels = sorted(messages)
         self._codes = codes = {label: chr(i) for i, label in enumerate(labels, 1)}
         self._messages = {codes[label]: messages[label] for label in labels}
         self.states = [tuple(sorted(machine.states)) for machine in machines]
         # Per role, each state's character in the control string.
         self._controls = [{q: chr(i) for i, q in enumerate(states, 1)} for states in self.states]
-        # Per role, the exits and bit of each state met so far, by its character.
-        self._exits: list[dict[str, tuple[tuple[Exit, ...], int]]] = [{} for _ in roles]
-        # Each role's bit, by name: the channels of transitions join two
-        # roles of ``s``, unlike those of ``extra``'s buffers.
-        self._bits = {machine.subject.name: 1 << r for r, machine in enumerate(machines)}
         self.initial: Packed = "".join(
             [controls[machine.initial] for controls, machine in zip(self._controls, machines)]
         ) + SEP * len(self.channels)
@@ -258,40 +258,29 @@ class PackedSystem:
 
     def row(self, control: str) -> Row:
         """Build and store in ``rows`` the row of control string ``control``
-        from each role's exits in it, building a role's exits the first time
-        a row needs it in that state."""
+        from the transitions of each role's state in it."""
         moves: list[Move] = []
         mask = 0
-        slots, codes, bits, SEND = self._slots, self._codes, self._bits, Direction.SEND
-        for r, (q, exits) in enumerate(zip(control, self._exits)):
-            role = 1 << r
-            entry = exits.get(q)
-            if entry is None:  # the role's first row in this state: build its exits
-                state, controls = self.states[r][ord(q) - 1], self._controls[r]
-                found: list[Exit] = []
-                for src, act, dst in self._machines[r].transitions:
-                    if src == state:
-                        ch = act.channel
-                        is_send = act.direction is SEND
-                        other = ch.receiver if is_send else ch.sender
-                        found.append((slots[ch.sender.name, ch.receiver.name], is_send,
-                                      codes[act.message.label], controls[dst], act,
-                                      ~(role | bits[other.name])))
-                # Slots, codes and control characters number channels, labels
-                # and states in name order, and a role only sends or only
-                # receives on a channel, so this is ``transition_sort_key``'s.
-                found.sort()
-                receiving = found and not any(is_send for _, is_send, *_ in found)
-                entry = exits[q] = (tuple(found), role if receiving else 0)
-            role_exits, bit = entry
-            if not role_exits:  # a final state: no moves, not receiving
+        slots, codes, SEND = self._slots, self._codes, Direction.SEND
+        for r, (q, leaving, states, controls) in enumerate(
+                zip(control, self._leaving, self.states, self._controls)):
+            # Slots, codes and control characters number channels, labels and
+            # states in name order, and a role only sends or only receives on
+            # a channel, so this is ``transition_sort_key``'s order.
+            exits = sorted([(slots[ch.sender.name, ch.receiver.name], act.direction is SEND,
+                             codes[act.message.label], controls[dst], act)
+                            for _, act, dst in leaving.get(states[ord(q) - 1], ())
+                            for ch in (act.channel,)])
+            if not exits:  # a final state: no moves, not receiving
                 continue
-            mask |= bit
+            role = receiving = 1 << r
             head, tail = control[:r], control[r + 1:]
-            for slot, is_send, code, dst, act, keep in role_exits:
-                moves.append((act, head + dst + tail, is_send, slot, code, role, keep))
-        receiving = bool(moves) and mask == (1 << len(self.roles)) - 1
-        row = self.rows[control] = (tuple(moves), not moves, receiving, mask)
+            for slot, is_send, code, dst, act in exits:
+                if is_send:
+                    receiving = 0
+                moves.append((act, head + dst + tail, is_send, slot, code, role))
+            mask |= receiving
+        row = self.rows[control] = (tuple(moves), mask)
         return row
 
     def decode(self, cfg: Packed) -> Configuration:
@@ -357,12 +346,12 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: i
     sleeping role is judged like any other (it may be cut at the bound, and
     a receive sets ``free``), and when it can fire it counts as skipped
     instead of building a successor.  ``sleep`` is the mask the successor
-    inherits, ``(asleep | role - 1) & keep`` of its move.  With no mask, as
-    ``step``, ``enabled_actions`` and witnesses call it, every step is
-    listed and none skipped.  With bound 0 and mask -1, as ``violations``
-    and ``explore`` (for configurations admitted but never expanded) call
-    it, every send is cut and every role asleep: every move is judged, the
-    flags are the same, and no successor is built.
+    inherits, ``(asleep | role - 1) & keeps[slot]`` of its move.  With no
+    mask, as ``step``, ``enabled_actions`` and witnesses call it, every
+    step is listed and none skipped.  With bound 0 and mask -1, as
+    ``violations`` and ``explore`` (for configurations admitted but never
+    expanded) call it, every send is cut and every role asleep: every move
+    is judged, the flags are the same, and no successor is built.
 
     One pass over the row of ``cfg``'s control string does it all: ``cfg``
     is split once into its parts, and each successor is those parts joined
@@ -370,15 +359,18 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: i
     receiving role is blocked unless one of its receives faces an empty
     buffer or one headed by its message; such a receive sets the role's bit
     in ``free``, so some receiving role is blocked exactly when ``free``
-    misses a bit of the row's mask."""
+    misses a bit of the row's mask.  With no moves every role is final, and
+    a queued message is an orphan; with every role receiving and every
+    buffer empty, the configuration is a deadlock."""
     out: list[tuple[Action, Packed, int]] = []
     truncated = False
     free = 0
     skipped = 0
     parts = cfg.split(SEP)
     control = parts[0]
-    moves, final, receiving, mask = p.rows.get(control) or p.row(control)
-    for action, target, is_send, slot, code, role, keep in moves:
+    moves, mask = p.rows.get(control) or p.row(control)
+    keeps = p.keeps
+    for action, target, is_send, slot, code, role in moves:
         buf = parts[slot]
         if is_send:
             if len(buf) >= bound:
@@ -400,12 +392,13 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: i
         else:
             continue
         parts[0] = target
-        out.append((action, SEP.join(parts), (asleep | role - 1) & keep))
+        out.append((action, SEP.join(parts), (asleep | role - 1) & keeps[slot]))
         parts[slot] = buf
-    if final or receiving:  # deadlock needs empty buffers, orphan message a queued one
-        queued = len(cfg) > len(p.initial)
-        final, receiving = final and queued, receiving and not queued
-    flags = DEADLOCK * receiving | ORPHAN_MESSAGE * final | UNSPECIFIED_RECEPTION * (free & mask != mask)
+    if not moves:
+        flags = ORPHAN_MESSAGE * (len(cfg) > len(p.initial))
+    else:
+        flags = DEADLOCK * (mask == p.full and len(cfg) == len(p.initial))
+    flags |= UNSPECIFIED_RECEPTION * (free & mask != mask)
     return out, truncated, flags, skipped
 
 

@@ -225,6 +225,12 @@ def test_not_isomorphic_when_transition_dropped(mk):
     assert not is_isomorphic(mk, smaller)
 
 
+def test_not_isomorphic_when_subject_differs():
+    # Without transitions, the subject is all that tells the machines apart.
+    assert not is_isomorphic(Cfsm.make("A", "q"), Cfsm.make("B", "q"))
+    assert is_isomorphic(Cfsm.make("A", "q"), Cfsm.make("A", "r"))
+
+
 def test_not_isomorphic_when_initial_moved(mj):
     moved = Cfsm(mj.subject, mj.states, "2", mj.messages, mj.transitions)
     assert not is_isomorphic(mj, moved)
@@ -259,6 +265,12 @@ def test_parse_rejects_malformed_documents():
             "transitions": [{"from": "1", "to": "2", "channel": {"sender": "J", "receiver": "M"},
                              "dir": "!", "msg": "text"}],
         }))  # target state not declared
+    with pytest.raises(MachineFormatError, match="'transitions' must be a list"):
+        parse_machine(json.dumps({"subject": "J", "states": ["1"], "initial": "1",
+                                  "transitions": {}}))
+    with pytest.raises(MachineFormatError, match="state identifiers must be nonempty strings"):
+        parse_machine(json.dumps({"subject": "J", "states": ["1", ""], "initial": "1",
+                                  "transitions": []}))
 
 
 @pytest.mark.parametrize("path", [("from",), ("to",), ("msg",),

@@ -594,9 +594,16 @@ TWICE_A = json.dumps({"machines": 2 * [json.loads(serialize_machine(Cfsm.make("A
 @pytest.mark.parametrize("name, text, code, message", [
     ("bad.system", '{"machines": 1}', 2, "must be an object with a 'machines' list"),
     ("twice.system", TWICE_A, 2, "duplicate machine for role A"),
+    ("table.system", json.dumps({"machines": [{"subject": "A", "states": ["q0"], "initial": "q0",
+                                               "transitions": {}}]}),
+     2, "'transitions' must be a list"),
+    ("blank.system", json.dumps({"machines": [{"subject": "A", "states": ["q0", ""],
+                                               "initial": "q0", "transitions": []}]}),
+     2, "state identifiers must be nonempty strings, got ''"),
     ("bad.gtir", "connect base relay interfaces {I, J, H} via H <-> K "
                  "base alternator interfaces {K}\n", 3, "not a valid composition"),
-], ids=["unparseable", "duplicate-role", "invalid-expression"])
+], ids=["unparseable", "duplicate-role", "transitions-not-a-list", "empty-state-name",
+        "invalid-expression"])
 def test_check_leaves_out_untouched_when_the_input_fails(data_dir, tmp_path, capsys,
                                                           name, text, code, message):
     (tmp_path / name).write_text(text)

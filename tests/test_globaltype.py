@@ -45,6 +45,11 @@ def test_interaction_endpoints_must_differ():
         interaction("p", "p", "a")
 
 
+def test_a_choice_needs_a_branch():
+    with pytest.raises(GlobalTypeError, match="at least one branch"):
+        Choice(Role("A"), ())
+
+
 # -- projection ---------------------------------------------------------------
 
 def test_project_single_interaction_sender():

@@ -1,4 +1,7 @@
 import random
+import re
+
+import pytest
 
 from cfsmkit import (
     Action,
@@ -79,6 +82,16 @@ def test_deleting_a_branch_separates_the_languages(mj):
     wa = erased_words_up_to(a, 3)
     wb = erased_words_up_to(b, 3)
     assert word in wa - wb
+
+
+@pytest.mark.parametrize("initial, transitions, message", [
+    ("y", [], "initial state 'y' not among the states"),
+    ("x", [("x", sym("!a"), "y")], "transition 'x' -> 'y' leaves the state set"),
+    ("x", [("x", sym("!b"), "x")], "symbol !b not in the alphabet"),
+], ids=["initial", "endpoint", "symbol"])
+def test_an_automaton_keeps_to_its_states_and_alphabet(initial, transitions, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ErasedAutomaton(frozenset({"x"}), initial, frozenset({sym("!a")}), frozenset(transitions))
 
 
 def test_two_empty_automata_are_equal():

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +91,13 @@ def test_membership_takes_a_role_or_its_name():
     s = handoff_system()
     assert "A" in s and Role("B") in s
     assert "C" not in s and "" not in s and Role("C") not in s
+
+
+def test_a_system_equals_only_a_system_with_its_machines():
+    s = handoff_system()
+    assert s == handoff_system() and s != pump_system()
+    assert s != "A" and s != {"A": s["A"], "B": s["B"]}
+    assert repr(s) == "CommunicatingSystem(roles=['A', 'B'])"
 
 
 def test_a_system_holds_its_machines_own_roles():
@@ -421,13 +429,6 @@ def plain(c: Configuration):
                   for ch, msgs in c.buffers))
 
 
-def assert_exits_only_where_rows_went(p: PackedSystem) -> None:
-    # No machine state is tabulated before a row meets it: the packing's
-    # per-role exit tables hold exactly the (role, state) pairs of its rows.
-    assert {(r, q) for r, exits in enumerate(p._exits) for q in exits} == {
-        (r, q) for control in p.rows for r, q in enumerate(control)}
-
-
 @settings(max_examples=60, deadline=None)
 @given(small_systems(), st.integers(1, 3))
 def test_exploration_agrees_with_the_reachability_oracle(s, bound):
@@ -435,7 +436,6 @@ def test_exploration_agrees_with_the_reachability_oracle(s, bound):
     reachable, truncated = naive_reachable(s, bound)
     assert frozenset(plain(c) for c in result.reachable) == reachable
     assert result.frontier_truncated == truncated
-    assert_exits_only_where_rows_went(result.packing)
     assert_parents_fix_their_steps(result)
     report = check_safety(s, max_buffer_bound=bound)
     expected = naive_bounded_safety(s, bound=bound)
@@ -535,7 +535,7 @@ def test_rows_list_each_roles_outgoing_transitions_in_canonical_order(s):
         moves = p.row(control)[0]
         expected = [t for r, q in zip(s.roles, states) for t in s[r].outgoing(q)]
         got = []
-        for act, target, is_send, slot, code, role, keep in moves:
+        for act, target, is_send, slot, code, role in moves:
             r = s.roles.index(act.subject)
             got.append((states[r], act, p.states[r][ord(target[r]) - 1]))
             assert target[:r] + target[r + 1:] == control[:r] + control[r + 1:]
@@ -545,7 +545,7 @@ def test_rows_list_each_roles_outgoing_transitions_in_canonical_order(s):
             # the other end of its channel.
             other = act.channel.receiver if is_send else act.channel.sender
             assert role == 1 << r
-            assert keep == ~(role | 1 << s.roles.index(other))
+            assert p.keeps[slot] == ~(role | 1 << s.roles.index(other))
         assert got == expected
     for r in s.roles:
         m = s[r]
@@ -598,6 +598,33 @@ def ring_system(n: int, distinct_labels: bool) -> CommunicatingSystem:
                                    for i in range(n)])
     b = Cfsm.make("B", "r", [("r", Action.receive("A", "B", label), "r") for label in set(labels[:-1])])
     return CommunicatingSystem({"A": a, "B": b})
+
+
+class CountedTransitions(frozenset):
+    """A machine's transition set that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_a_walk_passes_over_each_machines_transitions_a_fixed_number_of_times():
+    # The packing groups each machine's transitions by state once, so a walk
+    # that meets every state of a long machine does not scan it per state.
+    passes = {}
+    for n in (5, 50):
+        s = ring_system(n, distinct_labels=False)
+        machines = {r: replace(s[r], transitions=CountedTransitions(s[r].transitions))
+                    for r in s.roles}
+        s = CommunicatingSystem(machines)
+        for m in machines.values():
+            m.transitions.passes = 0
+        result = explore(s, max_buffer_bound=1)
+        assert len({key[0] for key in result.packed_parents}) == n  # A meets every state
+        passes[n] = [m.transitions.passes for m in machines.values()]
+    assert passes[5] == passes[50]
 
 
 def nul_named_system() -> CommunicatingSystem:
@@ -684,19 +711,16 @@ def test_each_parent_reaches_its_child_by_one_step_in_the_relay(relay_expr):
 
 @pytest.mark.parametrize("call", ["violations", "step", "enabled_actions"])
 def test_an_api_call_builds_only_its_configurations_row(relay_expr, monkeypatch, call):
-    # The engine has no per-state table: one call on one configuration builds
-    # the row of that configuration's control vector, and no other, and
-    # tabulates only the machine states of that row (9 of the 36).
+    # One call on one configuration builds the row of that configuration's
+    # control vector, and no other.
     s = semantics(relay_expr)
     configurations = explore(s, max_buffer_bound=2).discovery_order[::500]
     controls = [pack_configuration(s, c)[1].split(SEP)[0] for c in configurations]
     built: list[str] = []
-    packings: list[PackedSystem] = []
     build = PackedSystem.row
 
     def counted(self, control):
         built.append(control)
-        packings.append(self)
         return build(self, control)
 
     monkeypatch.setattr(PackedSystem, "row", counted)
@@ -709,7 +733,6 @@ def test_an_api_call_builds_only_its_configurations_row(relay_expr, monkeypatch,
         else:
             enabled_actions(s, c)
         assert built == [control], str(c)
-        assert_exits_only_where_rows_went(packings[-1])
 
 
 @settings(max_examples=40, deadline=None)
