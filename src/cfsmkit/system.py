@@ -13,11 +13,12 @@ when the visited set would outgrow ``max_states``.  When the frontier was
 never truncated, the reachable set is exact.
 
 Steps of two roles that share no channel commute, so the walk keeps a sleep
-set of roles per configuration (Godefroid and Wolper, 1991): it judges every
-move but builds no successor for a move of a sleeping role, whose successor
-another ordering of the same steps has already reached.  It visits the same
-configurations in the same order and counts the same steps; see
-``explore`` for the rule and why it is safe.
+set of roles per configuration (Godefroid and Wolper, 1991): it neither
+judges nor builds a move of a sleeping role, whose successor another
+ordering of the same steps has already reached, and carries that role's
+enabled steps over from the parent to count them.  It visits the same
+configurations in the same order, counts the same steps and finds the same
+first violations; see ``explore`` for the rule and why it is safe.
 """
 
 from __future__ import annotations
@@ -162,11 +163,15 @@ SEP = "\x00"
 #: message codes per channel slot (see ``PackedSystem``).
 Packed = str
 
-#: One move of a row, (action, target, is_send, slot, code, role) with the
-#: machine's own ``Action`` and the target's control string, and the row of
-#: a control string, (moves, mask) (see ``PackedSystem``).
-Move = tuple[Action, str, bool, int, str, int]
-Row = tuple[tuple[Move, ...], int]
+#: One move of a row, (action, target, is_send, slot, code, role, step, sleep)
+#: with the machine's own ``Action``, the target's control string, the role's
+#: bit, the move's step bit and its successor's sleep set; and the row of a
+#: control string and sleep set, (moves, mask, final), which holds the moves
+#: of the awake roles only: a sleeping role's steps, cut sends and blocked
+#: receives are those of the configuration where it was last awake (see
+#: ``PackedSystem``).
+Move = tuple[Action, str, bool, int, str, int, int, int]
+Row = tuple[tuple[Move, ...], int, bool]
 
 #: The bits of the safety properties a configuration violates, as the third
 #: value of ``_successors`` reports them.
@@ -190,19 +195,39 @@ class PackedSystem:
     and no code is ``SEP``; with more than 127 states or labels the
     characters leave ASCII and the keys get wider, not ambiguous.
 
-    ``rows`` is the one table of the engine.  It maps each control string
-    met so far to its ``row``, built the first time a walk meets that
-    string: every role's outgoing transitions in role order, each in its
-    machine's canonical order (``Cfsm.outgoing``'s) as a move
-    ``(action, target, is_send, slot, code, role)``, and the mask of the
-    bits of the roles whose state is receiving (it has moves and none of
-    them sends).  ``target`` is the control string the move leads to.
-    ``role`` is the role's bit ``1 << r``, so ``role - 1`` is the bits of
-    the roles before it.  ``action`` is the machine's own ``Action``.
-    ``keeps[slot]`` is every role bit but those of the two ends of channel
-    ``slot``: a sleep set (see ``explore``) passes to a move's successor as
-    ``(asleep | role - 1) & keeps[slot]``.  ``_successors`` is the only
-    code that reads rows to judge a configuration.
+    ``rows`` is the one table of the engine.  It maps each pair of a control
+    string and a sleep set (see ``explore``) met so far to its ``row``, built
+    the first time a walk meets the pair; with an empty sleep set, as every
+    call outside ``explore`` has, the key is the control string alone.  A row
+    lists the outgoing transitions of each awake role in role order, each in
+    its machine's canonical order (``Cfsm.outgoing``'s), as moves
+    ``(action, target, is_send, slot, code, role, step, sleep)``; a sleeping
+    role has none.  ``target`` is the control string the move leads to,
+    ``role`` the role's bit ``1 << r`` (so ``role - 1`` is the bits of the
+    roles before it) and ``action`` the machine's own ``Action``.  The row's
+    ``mask``, the bits of the roles whose state is receiving (it has moves
+    and none of them sends), and ``final``, whether no role has a move,
+    describe the whole control string, sleeping roles included.
+    ``_successors`` is the only code that reads rows to judge a
+    configuration.
+
+    A sleeping role need not be judged: it is neither the role that stepped
+    nor the other end of that step's channel, so it has the state and the
+    buffers it had when it was last awake, and with them the same enabled
+    steps, the same sends cut at the bound and the same blocked receives,
+    which that configuration, explored earlier, already judged.  Only its
+    enabled steps are carried, as bits, for the walk to count.  A sleep set
+    of role bits ``m`` is held spread, as ``m * rep``: ``rep`` has bit
+    ``n·j`` for each index ``j`` below the largest number of transitions
+    leaving one state, with ``n`` roles, and the ``j``-th move of role ``r``
+    in its state has the step bit ``1 << (n·j + r)``.  So ``bits & sleep``
+    keeps exactly the step bits of the sleeping roles, and ``sleep & full``
+    is the set of roles.  ``keeps[slot]`` is every role bit but those of the
+    two ends of channel ``slot``, and a move's ``sleep``, the set its
+    successor inherits, is ``((asleep | role - 1) & keeps[slot]) * rep``.
+    With two roles, each channel joins both, so no role can ever sleep:
+    ``keeps`` is empty, ``rep`` is 0, and so is every step bit and every
+    sleep set.
 
     ``__init__`` numbers channels, labels and states and groups each
     machine's transitions by source state, once; a row resolves the groups
@@ -239,12 +264,20 @@ class PackedSystem:
         channel_keys = sorted(channels)
         self.channels = tuple([channels[key] for key in channel_keys])
         self._slots = {key: 1 + k for k, key in enumerate(channel_keys)}
-        # By slot, every role bit but those of the channel's two ends (slot 0
-        # is the control string).  A channel of ``extra``'s buffers may name
-        # a role outside ``s``, which ``encode`` rejects.
-        bits = {machine.subject.name: 1 << r for r, machine in enumerate(machines)}
-        self.keeps = [0] + [~(bits.get(a, 0) | bits.get(b, 0)) for a, b in channel_keys]
         self.full = (1 << len(roles)) - 1
+        self.keeps: list[int] = []
+        self.rep = 0
+        # A channel joins two roles, so only a system of three or more has a
+        # role that a step can leave asleep.  By slot, every role bit but
+        # those of the channel's two ends (slot 0 is the control string).  A
+        # channel of ``extra``'s buffers may name a role outside ``s``, which
+        # ``encode`` rejects.
+        if len(roles) > 2:
+            bits = {machine.subject.name: 1 << r for r, machine in enumerate(machines)}
+            self.keeps = [0] + [~(bits.get(a, 0) | bits.get(b, 0)) for a, b in channel_keys]
+            width = max((len(ts) for leaving in self._leaving for ts in leaving.values()),
+                        default=0)
+            self.rep = sum(1 << len(roles) * j for j in range(width))
         labels = sorted(messages)
         self._codes = codes = {label: chr(i) for i, label in enumerate(labels, 1)}
         self._messages = {codes[label]: messages[label] for label in labels}
@@ -254,13 +287,16 @@ class PackedSystem:
         self.initial: Packed = "".join(
             [controls[machine.initial] for controls, machine in zip(self._controls, machines)]
         ) + SEP * len(self.channels)
-        self.rows: dict[str, Row] = {}
+        self.rows: dict[str | tuple[str, int], Row] = {}
 
-    def row(self, control: str) -> Row:
+    def row(self, control: str, sleep: int = 0) -> Row:
         """Build and store in ``rows`` the row of control string ``control``
-        from the transitions of each role's state in it."""
+        under the spread sleep set ``sleep``, from the transitions of each
+        role's state in it."""
         moves: list[Move] = []
         mask = 0
+        final = True
+        n, rep, keeps, asleep = len(control), self.rep, self.keeps, sleep & self.full
         slots, codes, SEND = self._slots, self._codes, Direction.SEND
         for r, (q, leaving, states, controls) in enumerate(
                 zip(control, self._leaving, self.states, self._controls)):
@@ -273,14 +309,21 @@ class PackedSystem:
                             for ch in (act.channel,)])
             if not exits:  # a final state: no moves, not receiving
                 continue
+            final = False
             role = receiving = 1 << r
-            head, tail = control[:r], control[r + 1:]
+            if role & asleep:  # no moves, but it still counts in ``mask``
+                if not any(is_send for _, is_send, _, _, _ in exits):
+                    mask |= role
+                continue
+            head, tail, step = control[:r], control[r + 1:], rep and role
             for slot, is_send, code, dst, act in exits:
                 if is_send:
                     receiving = 0
-                moves.append((act, head + dst + tail, is_send, slot, code, role))
+                moves.append((act, head + dst + tail, is_send, slot, code, role, step,
+                              rep and ((asleep | role - 1) & keeps[slot]) * rep))
+                step <<= n
             mask |= receiving
-        row = self.rows[control] = (tuple(moves), mask)
+        row = self.rows[(control, sleep) if sleep else control] = (tuple(moves), mask, final)
         return row
 
     def decode(self, cfg: Packed) -> Configuration:
@@ -334,50 +377,52 @@ def pack_configuration(s: CommunicatingSystem, c: Configuration) -> tuple[Packed
     return packed, packed.encode(c)
 
 
-def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: int = 0
-                ) -> tuple[list[tuple[Action, Packed, int]], bool, int, int]:
-    """Every step from ``cfg`` as ``(action, successor, sleep)``, in row
-    order (one action may have several targets when the machine is
-    nondeterministic), whether a send was suppressed because its buffer
-    already held ``bound`` messages, the bits of the safety properties (see
-    ``safety``) ``cfg`` violates, and how many steps were skipped.
+def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: int = 0,
+                bits: int = 0) -> tuple[list[tuple[Action, Packed, int]], bool, int, int]:
+    """Every step from ``cfg`` of a role awake in the spread sleep set
+    ``asleep`` as ``(action, successor, sleep)``, in row order (one action
+    may have several targets when the machine is nondeterministic), whether
+    such a send was suppressed because its buffer already held ``bound``
+    messages, the bits of the safety properties (see ``safety``) ``cfg``
+    violates, and ``bits`` with the step bit of each step listed added.
 
-    ``asleep`` is a mask of role bits (see ``explore``).  A move of a
-    sleeping role is judged like any other (it may be cut at the bound, and
-    a receive sets ``free``), and when it can fire it counts as skipped
-    instead of building a successor.  ``sleep`` is the mask the successor
-    inherits, ``(asleep | role - 1) & keeps[slot]`` of its move.  With no
-    mask, as ``step``, ``enabled_actions`` and witnesses call it, every
-    step is listed and none skipped.  With bound 0 and mask -1, as
-    ``violations`` and ``explore`` (for configurations admitted but never
-    expanded) call it, every send is cut and every role asleep: every move
-    is judged, the flags are the same, and no successor is built.
+    ``sleep`` is the sleep set the successor inherits (see
+    ``PackedSystem``).  A sleeping role is not judged: its moves are not in
+    the row, and it counts as not blocked.  This is safe within ``explore``,
+    which gives ``bits`` the sleeping roles' enabled steps carried from the
+    parent: a sleeping role has the state and buffers it had where it was
+    last awake, an ancestor explored earlier, so (1) its enabled steps are
+    the ones carried, (2) a send of it cut at the bound was cut, and
+    flagged, there, and (3) if it is blocked, it was blocked there, so that
+    ancestor is a configuration that violates unspecified reception earlier
+    in discovery order.  With no sleep set, as ``step``, ``enabled_actions``,
+    witnesses and the recount of an aborting walk call it, every role is
+    judged and every step listed.  With bound 0, as ``violations`` and
+    ``explore`` (for configurations admitted but never expanded) call it,
+    every send is cut and a receive that could fire is judged but not
+    taken: every role is judged and no successor is built.
 
-    One pass over the row of ``cfg``'s control string does it all: ``cfg``
-    is split once into its parts, and each successor is those parts joined
-    with the move's target control and its one changed buffer.  A
-    receiving role is blocked unless one of its receives faces an empty
-    buffer or one headed by its message; such a receive sets the role's bit
-    in ``free``, so some receiving role is blocked exactly when ``free``
-    misses a bit of the row's mask.  With no moves every role is final, and
-    a queued message is an orphan; with every role receiving and every
-    buffer empty, the configuration is a deadlock."""
+    One pass over the row does it all: ``cfg`` is split once into its parts,
+    and each successor is those parts joined with the move's target control
+    and its one changed buffer.  A receiving role is blocked unless one of
+    its receives faces an empty buffer or one headed by its message; such a
+    receive sets the role's bit in ``free``, which starts as the sleep set,
+    so some awake receiving role is blocked exactly when ``free`` misses a
+    bit of the row's mask.  When every role is final, a queued message is
+    an orphan; with every role receiving and every buffer empty, the
+    configuration is a deadlock."""
     out: list[tuple[Action, Packed, int]] = []
     truncated = False
-    free = 0
-    skipped = 0
     parts = cfg.split(SEP)
     control = parts[0]
-    moves, mask = p.rows.get(control) or p.row(control)
-    keeps = p.keeps
-    for action, target, is_send, slot, code, role in moves:
+    moves, mask, final = p.rows.get((control, asleep) if asleep else control) or p.row(
+        control, asleep)
+    free = asleep
+    for action, target, is_send, slot, code, role, step, sleep in moves:
         buf = parts[slot]
         if is_send:
             if len(buf) >= bound:
                 truncated = True
-                continue
-            if role & asleep:
-                skipped += 1
                 continue
             parts[slot] = buf + code
         elif not buf:
@@ -385,21 +430,21 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: i
             continue
         elif buf[0] == code:
             free |= role
-            if role & asleep:
-                skipped += 1
+            if not bound:
                 continue
             parts[slot] = buf[1:]
         else:
             continue
+        bits |= step
         parts[0] = target
-        out.append((action, SEP.join(parts), (asleep | role - 1) & keeps[slot]))
+        out.append((action, SEP.join(parts), sleep))
         parts[slot] = buf
-    if not moves:
+    if final:
         flags = ORPHAN_MESSAGE * (len(cfg) > len(p.initial))
     else:
         flags = DEADLOCK * (mask == p.full and len(cfg) == len(p.initial))
     flags |= UNSPECIFIED_RECEPTION * (free & mask != mask)
-    return out, truncated, flags, skipped
+    return out, truncated, flags, bits
 
 
 def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[Configuration]:
@@ -422,7 +467,7 @@ def violations(s: CommunicatingSystem, c: Configuration) -> int:
     """The bits (``DEADLOCK``, ``ORPHAN_MESSAGE``, ``UNSPECIFIED_RECEPTION``)
     of the safety properties ``c`` violates."""
     p, cfg = pack_configuration(s, c)
-    return _successors(p, cfg, 0, -1)[2]
+    return _successors(p, cfg, 0)[2]
 
 
 Path = tuple[tuple[Action, Configuration], ...]
@@ -526,13 +571,15 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
     configurations are expanded, and, after an aborted walk, for those never
     expanded.  ``jobs`` is accepted for compatibility and ignored.
 
-    Each frontier entry carries a sleep mask of roles, set by the
-    configuration that first reached it; the initial one's is 0.  When ``s``
-    reaches a child by a step ``b`` of role ``B`` on channel ``k``, the
-    child's mask is ``asleep(s)`` and the roles before ``B``, less ``B`` and
-    the other end of ``k``.  ``_successors`` judges every move but builds no
-    successor for a move of a sleeping role, and the walk counts those moves
-    as steps.
+    Each frontier entry carries a sleep set of roles, and the step bits of
+    its sleeping roles' enabled steps (see ``PackedSystem``), both set by
+    the configuration that first reached it; the initial one's are empty.
+    When ``s`` reaches a child by a step ``b`` of role ``B`` on channel
+    ``k``, the child's sleep set is ``asleep(s)`` and the roles before
+    ``B``, less ``B`` and the other end of ``k``, and its step bits are
+    ``s``'s for those roles.  ``_successors`` neither judges nor builds a
+    move of a sleeping role, and the walk counts a configuration's steps as
+    those listed plus those carried.
 
     The invariant: a skipped step leads to a configuration already in
     ``parents`` when its source is expanded.  A slot has one sender and one
@@ -546,12 +593,27 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
     expanded before ``s·b``, and that expansion reaches ``s·a·b = s·b·a``
     or, ``B`` being asleep there, finds it in ``parents``.
 
+    Not judging ``A`` at ``s·b`` is observably the same.  ``A`` has the
+    same control character and the same slots at ``s·b`` as at ``s``, and
+    so back to the ancestor where it was last awake, which the walk
+    expanded earlier (the initial configuration has every role awake).
+    (1) ``A``'s enabled steps at ``s·b`` are its enabled steps at ``s``,
+    so their bits carry and ``edge_count`` counts them.  (2) A send of
+    ``A`` cut at the bound was already cut, and ``frontier_truncated``
+    already set, at that ancestor.  (3) If ``A`` is a blocked receiving
+    role, it was blocked at that ancestor too, which comes earlier in
+    discovery order and was noted as violating unspecified reception; so
+    treating a sleeping role as never blocked leaves every first violator
+    as it is, and the first one is always found among awake roles.  A
+    deadlock and an orphan message depend only on the whole control string
+    and on whether every buffer is empty, which rows still describe.
+
     So the walk admits the same configurations in the same order with the
     same parents as one that builds every step, and ``edge_count`` counts
     every step of every expanded configuration.  When the budget refuses a
     configuration, only the steps of its source that come before the
     refused one in row order count: the source's steps are listed again
-    with no mask, and the refused one is the first of them not in
+    with no sleep set, and the refused one is the first of them not in
     ``parents``.
     """
     if max_buffer_bound < 1 or max_states < 1:
@@ -569,11 +631,14 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
     exhausted = False
     frontier: list[Packed] = [p.initial]
     asleep: list[int] = [0]
+    carried: list[int] = [0]
     while frontier and not exhausted:
         next_frontier: list[Packed] = []
         next_asleep: list[int] = []
+        next_carried: list[int] = []
         for i, cfg in enumerate(frontier):
-            succ, cut, flags, skipped = _successors(p, cfg, max_buffer_bound, asleep[i])
+            skipped = carried[i]
+            succ, cut, flags, bits = _successors(p, cfg, max_buffer_bound, asleep[i], skipped)
             truncated = truncated or cut
             if flags:
                 note(flags, cfg)
@@ -585,15 +650,16 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
                     parents[nxt] = cfg
                     next_frontier.append(nxt)
                     next_asleep.append(sleep)
+                    next_carried.append(bits & sleep)
             if exhausted:
                 steps = _successors(p, cfg, max_buffer_bound)[0]
                 edges += next(n for n, (_, nxt, _) in enumerate(steps) if nxt not in parents)
                 # Admitted but never expanded, in discovery order.
                 for late in frontier[i + 1:] + next_frontier:
-                    note(_successors(p, late, 0, -1)[2], late)
+                    note(_successors(p, late, 0)[2], late)
                 break
-            edges += len(succ) + skipped
-        frontier, asleep = next_frontier, next_asleep
+            edges += len(succ) + skipped.bit_count()
+        frontier, asleep, carried = next_frontier, next_asleep, next_carried
     return ExplorationResult(
         frontier_truncated=truncated,
         max_buffer_bound=max_buffer_bound,

@@ -532,21 +532,39 @@ def test_rows_list_each_roles_outgoing_transitions_in_canonical_order(s):
     p = PackedSystem(s)
     for states in itertools.product(*p.states):
         control = "".join(p._controls[r][q] for r, q in enumerate(states))
-        moves = p.row(control)[0]
+        moves, mask, final = p.row(control)
         expected = [t for r, q in zip(s.roles, states) for t in s[r].outgoing(q)]
         got = []
-        for act, target, is_send, slot, code, role in moves:
+        index = {}  # each move's place among its role's moves
+        for act, target, is_send, slot, code, role, step, sleep in moves:
             r = s.roles.index(act.subject)
+            index[r] = j = index.get(r, -1) + 1
             got.append((states[r], act, p.states[r][ord(target[r]) - 1]))
             assert target[:r] + target[r + 1:] == control[:r] + control[r + 1:]
             assert is_send == (act.direction is Direction.SEND)
             assert (p.channels[slot - 1], p._messages[code]) == (act.channel, act.message)
-            # The sleep-set masks: the role's bit, and every role but it and
-            # the other end of its channel.
+            # The sleep-set masks: the role's bit, every role but it and the
+            # other end of its channel, the move's step bit, and the roles
+            # before it that the channel leaves out, spread.
             other = act.channel.receiver if is_send else act.channel.sender
             assert role == 1 << r
+            if len(s.roles) == 2:
+                assert not p.keeps and p.rep == step == sleep == 0
+                continue
             assert p.keeps[slot] == ~(role | 1 << s.roles.index(other))
+            assert step == 1 << (len(s.roles) * j + r)
+            assert sleep == ((role - 1) & p.keeps[slot]) * p.rep
         assert got == expected
+        # Under a sleep set, only the awake roles' moves, with the sleeping
+        # roles added to each successor's set; the mask and ``final`` still
+        # describe every role.
+        for asleep in range(p.full + 1):
+            spread = asleep * p.rep
+            assert p.row(control, spread) == (
+                tuple(move[:7] + (p.rep and ((asleep | move[5] - 1) & p.keeps[move[3]]) * p.rep,)
+                      for move in moves if not move[5] & asleep or not spread),
+                mask, final)
+        assert final == (not moves)
     for r in s.roles:
         m = s[r]
         assert mixed_states(m) == tuple(
@@ -557,17 +575,20 @@ def test_rows_list_each_roles_outgoing_transitions_in_canonical_order(s):
 
 @pytest.mark.parametrize("bound, rows", [(1, 204), (2, 216), (4, 216)])
 def test_each_walk_builds_one_row_per_control_vector(relay_expr, monkeypatch, bound, rows):
-    built: list[str] = []
+    # One row per pair of a control vector and a sleep set met, and the
+    # pairs cover every control vector reached: 220, 244 and 244 of them.
+    built: list[tuple[str, int]] = []
     build = PackedSystem.row
 
-    def counted(self, control):
-        built.append(control)
-        return build(self, control)
+    def counted(self, control, sleep=0):
+        built.append((control, sleep))
+        return build(self, control, sleep)
 
     monkeypatch.setattr(PackedSystem, "row", counted)
     result = explore(semantics(relay_expr), max_buffer_bound=bound)
-    assert len(built) == len(set(built)) == rows
-    assert set(built) == {cfg.split(SEP)[0] for cfg in result.packed_parents}
+    assert len(built) == len(set(built)) == {1: 220, 2: 244, 4: 244}[bound]
+    assert len(result.packing.rows) == len(built)
+    assert {control for control, _ in built} == {cfg.split(SEP)[0] for cfg in result.packed_parents}
     assert len({c.control for c in result.discovery_order}) == rows
 
 
@@ -716,12 +737,12 @@ def test_an_api_call_builds_only_its_configurations_row(relay_expr, monkeypatch,
     s = semantics(relay_expr)
     configurations = explore(s, max_buffer_bound=2).discovery_order[::500]
     controls = [pack_configuration(s, c)[1].split(SEP)[0] for c in configurations]
-    built: list[str] = []
+    built: list[tuple[str, int]] = []
     build = PackedSystem.row
 
-    def counted(self, control):
-        built.append(control)
-        return build(self, control)
+    def counted(self, control, sleep=0):
+        built.append((control, sleep))
+        return build(self, control, sleep)
 
     monkeypatch.setattr(PackedSystem, "row", counted)
     for c, control in zip(configurations, controls):
@@ -732,7 +753,7 @@ def test_an_api_call_builds_only_its_configurations_row(relay_expr, monkeypatch,
             step(s, c, Action.send("J", "M", "text"))
         else:
             enabled_actions(s, c)
-        assert built == [control], str(c)
+        assert built == [(control, 0)], str(c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -789,14 +810,22 @@ def test_the_walk_is_the_reference_walk_under_every_budget(s, bound):
         assert_walk_is_the_reference_walk(s, bound, budget)
 
 
-def count_skipped_steps(monkeypatch) -> list[int]:
-    """Make ``explore`` add up its steps built and skipped, in that order."""
-    counts = [0, 0]
+def count_skipped_steps(monkeypatch, s: CommunicatingSystem) -> list[int]:
+    """Make ``explore`` of ``s`` add up its steps built and skipped, the
+    moves it judges, and the moves its configurations' full rows hold."""
+    counts = [0, 0, 0, 0]
+    held: dict[str, int] = {}
 
-    def counted(p, cfg, bound=math.inf, asleep=0):
-        out = _successors(p, cfg, bound, asleep)
+    def counted(p, cfg, bound=math.inf, asleep=0, bits=0):
+        out = _successors(p, cfg, bound, asleep, bits)
+        control = cfg.split(SEP)[0]
+        if control not in held:
+            held[control] = sum(len(s[r].outgoing(states[ord(q) - 1]))
+                                for r, q, states in zip(s.roles, control, p.states))
         counts[0] += len(out[0])
-        counts[1] += out[3]
+        counts[1] += bits.bit_count()
+        counts[2] += len(p.rows[(control, asleep) if asleep else control][0])
+        counts[3] += held[control]
         return out
 
     monkeypatch.setattr(cfsmkit.system, "_successors", counted)
@@ -812,13 +841,78 @@ def test_the_working_example_walk_is_the_reference_walk(data_dir, monkeypatch, b
     # well under half of its steps, and its record is still the plain walk's.
     expr = parse_gtir((data_dir / "composed.gtir").read_text(), load_global_types(str(data_dir)))
     s = semantics(expr)
-    counts = count_skipped_steps(monkeypatch)
+    counts = count_skipped_steps(monkeypatch, s)
     result = assert_walk_is_the_reference_walk(s, bound)
-    built, skipped = counts
+    built, skipped, _, _ = counts
     assert built + skipped == result.edge_count
     assert skipped / result.edge_count > 0.6
     for budget in budgets:
         assert_walk_is_the_reference_walk(s, bound, budget)
+
+
+def test_the_working_example_walk_judges_only_its_awake_roles(data_dir, monkeypatch):
+    # At bound 4 most roles of most configurations are asleep, so the walk
+    # judges under a third of the moves that the full rows hold.
+    expr = parse_gtir((data_dir / "composed.gtir").read_text(), load_global_types(str(data_dir)))
+    s = semantics(expr)
+    counts = count_skipped_steps(monkeypatch, s)
+    result = explore(s, max_buffer_bound=4)
+    built, skipped, judged, held = counts
+    assert (result.configuration_count, result.edge_count) == (27_574, 94_930)
+    assert built + skipped == result.edge_count
+    assert judged <= 0.35 * held
+
+
+def sparse_systems(count: int, seed: int = 20261020):
+    """``count`` seeded systems of 5-6 roles on a sparse partner graph, as
+    ``small_systems`` draws them, so that long chains of sleeping roles are
+    common."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        names = "ABCDEF"[:rng.randint(5, 6)]
+        pairs = list(itertools.combinations(names, 2))
+        links = sorted(rng.sample(pairs, rng.randint(2, len(names))))
+        machines = {}
+        for role in names:
+            states = [f"s{i}" for i in range(rng.randint(1, 3))]
+            partners = [b if a == role else a for a, b in links if role in (a, b)]
+            transitions = []
+            for _ in range(rng.randint(1, 4) if partners else 0):
+                other, msg = rng.choice(partners), rng.choice("ab")
+                act = (Action.send(role, other, msg) if rng.random() < 0.5
+                       else Action.receive(other, role, msg))
+                transitions.append((rng.choice(states), act, rng.choice(states)))
+            machines[role] = Cfsm.make(role, "s0", transitions, extra_states=states)
+        yield CommunicatingSystem(machines)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_five_and_six_role_walks_are_the_reference_walk(bound):
+    # Deeper sleep sets than ``small_systems`` draws: steps carried across
+    # several generations, under a few budgets too.
+    for s in sparse_systems(40):
+        count = assert_walk_is_the_reference_walk(s, bound, 3_000).configuration_count
+        for budget in (1, 2, 5, 17, count // 2):
+            if budget < count:
+                assert_walk_is_the_reference_walk(s, bound, budget)
+
+
+def test_judging_alone_builds_no_step(data_dir):
+    # Bound 0 judges every role, lists no step and builds no successor: the
+    # flags are those of a call that lists every step, and ``violations``'s.
+    expr = parse_gtir((data_dir / "composed.gtir").read_text(), load_global_types(str(data_dir)))
+    cases = [(semantics(expr), 4, 200), (ring_system(6, distinct_labels=True), 2, 100),
+             (nul_named_system(), 2, 100)]
+    flagged = 0
+    for s, bound, count in cases:
+        result = explore(s, max_buffer_bound=bound)
+        p, keys = result.packing, list(result.packed_parents)
+        for key in keys[::max(1, len(keys) // count)][:count]:
+            steps, _, flags, bits = _successors(p, key, 0)
+            assert steps == [] and bits == 0
+            assert flags == _successors(p, key, bound)[2] == violations(s, p.decode(key))
+            flagged += bool(flags)
+    assert flagged
 
 
 def test_violation_in_a_configuration_admitted_but_never_expanded():
