@@ -12,19 +12,21 @@ frontier), and the whole exploration aborts with a reported resource verdict
 when the visited set would outgrow ``max_states``.  When the frontier was
 never truncated, the reachable set is exact.
 
-Steps of two roles that share no channel commute, so the walk keeps a sleep
-set of roles per configuration (Godefroid and Wolper, 1991): it neither
-judges nor builds a move of a sleeping role, whose successor another
-ordering of the same steps has already reached, and carries that role's
-enabled steps over from the parent to count them.  It visits the same
-configurations in the same order, counts the same steps and finds the same
-first violations; see ``explore`` for the rule and why it is safe.
+Steps of two roles that share no channel commute, so the walk, one queue of
+steps, gives the configuration each step reaches a sleep set of roles
+(Godefroid and Wolper, 1991): it neither judges nor builds a move of a
+sleeping role, whose successor another ordering of the same steps has
+already reached, and carries that role's enabled steps, as bits, to count
+them.  It visits the same configurations in the same order, counts the same
+steps and finds the same first violations; see ``explore`` for the rule and
+why it is safe.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -378,29 +380,30 @@ def pack_configuration(s: CommunicatingSystem, c: Configuration) -> tuple[Packed
 
 
 def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: int = 0,
-                bits: int = 0) -> tuple[list[tuple[Action, Packed, int]], bool, int, int]:
+                bits: int = 0) -> tuple[list[tuple[Action, Packed, int, int]], bool, int]:
     """Every step from ``cfg`` of a role awake in the spread sleep set
-    ``asleep`` as ``(action, successor, sleep)``, in row order (one action
-    may have several targets when the machine is nondeterministic), whether
-    such a send was suppressed because its buffer already held ``bound``
-    messages, the bits of the safety properties (see ``safety``) ``cfg``
-    violates, and ``bits`` with the step bit of each step listed added.
+    ``asleep`` as ``(action, successor, sleep, carried)``, in row order (one
+    action may have several targets when the machine is nondeterministic),
+    whether such a send was suppressed because its buffer already held
+    ``bound`` messages, and the bits of the safety properties (see
+    ``safety``) ``cfg`` violates.
 
     ``sleep`` is the sleep set the successor inherits (see
-    ``PackedSystem``).  A sleeping role is not judged: its moves are not in
-    the row, and it counts as not blocked.  This is safe within ``explore``,
-    which gives ``bits`` the sleeping roles' enabled steps carried from the
-    parent: a sleeping role has the state and buffers it had where it was
-    last awake, an ancestor explored earlier, so (1) its enabled steps are
-    the ones carried, (2) a send of it cut at the bound was cut, and
-    flagged, there, and (3) if it is blocked, it was blocked there, so that
-    ancestor is a configuration that violates unspecified reception earlier
-    in discovery order.  With no sleep set, as ``step``, ``enabled_actions``,
-    witnesses and the recount of an aborting walk call it, every role is
-    judged and every step listed.  With bound 0, as ``violations`` and
-    ``explore`` (for configurations admitted but never expanded) call it,
-    every send is cut and a receive that could fire is judged but not
-    taken: every role is judged and no successor is built.
+    ``PackedSystem``) and ``carried`` is ``bits & sleep`` once the step's
+    bit is in ``bits`` (see ``explore``).  A sleeping role is not judged: its
+    moves are not in the row, and it counts as not blocked.  This is safe
+    within ``explore``, which gives ``bits`` the sleeping roles' enabled
+    steps carried from the parent: a sleeping role has the state and buffers
+    it had where it was last awake, an ancestor explored earlier, so (1) its
+    enabled steps are the ones carried, (2) a send of it cut at the bound
+    was cut, and flagged, there, and (3) if it is blocked, it was blocked
+    there, so that ancestor is a configuration that violates unspecified
+    reception earlier in discovery order.  With no sleep set, as ``step``,
+    ``enabled_actions``, witnesses and the recount of an aborting walk call
+    it, every role is judged and every step listed.  With bound 0, as
+    ``violations`` and ``explore`` (for configurations admitted but never
+    expanded) call it, every send is cut and a receive that could fire is
+    judged but not taken: every role is judged and no successor is built.
 
     One pass over the row does it all: ``cfg`` is split once into its parts,
     and each successor is those parts joined with the move's target control
@@ -411,7 +414,7 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: i
     bit of the row's mask.  When every role is final, a queued message is
     an orphan; with every role receiving and every buffer empty, the
     configuration is a deadlock."""
-    out: list[tuple[Action, Packed, int]] = []
+    out: list[tuple[Action, Packed, int, int]] = []
     truncated = False
     parts = cfg.split(SEP)
     control = parts[0]
@@ -437,14 +440,14 @@ def _successors(p: PackedSystem, cfg: Packed, bound: float = math.inf, asleep: i
             continue
         bits |= step
         parts[0] = target
-        out.append((action, SEP.join(parts), sleep))
+        out.append((action, SEP.join(parts), sleep, bits & sleep))
         parts[slot] = buf
     if final:
         flags = ORPHAN_MESSAGE * (len(cfg) > len(p.initial))
     else:
         flags = DEADLOCK * (mask == p.full and len(cfg) == len(p.initial))
     flags |= UNSPECIFIED_RECEPTION * (free & mask != mask)
-    return out, truncated, flags, bits
+    return out, truncated, flags
 
 
 def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[Configuration]:
@@ -454,13 +457,13 @@ def step(s: CommunicatingSystem, c: Configuration, action: Action) -> frozenset[
     not belong to the system raises SystemMismatchError instead.
     """
     p, cfg = pack_configuration(s, c)
-    return frozenset(p.decode(nxt) for act, nxt, _ in _successors(p, cfg)[0] if act == action)
+    return frozenset(p.decode(nxt) for act, nxt, _, _ in _successors(p, cfg)[0] if act == action)
 
 
 def enabled_actions(s: CommunicatingSystem, c: Configuration) -> frozenset[Action]:
     """Exactly the actions with at least one successor at ``c``."""
     p, cfg = pack_configuration(s, c)
-    return frozenset(act for act, _, _ in _successors(p, cfg)[0])
+    return frozenset(act for act, _, _, _ in _successors(p, cfg)[0])
 
 
 def violations(s: CommunicatingSystem, c: Configuration) -> int:
@@ -535,7 +538,7 @@ class ExplorationResult:
             # the action, so exactly one of the parent's successors at the
             # walk's bound reaches ``cfg``.
             succ = _successors(self.packing, parent, self.max_buffer_bound)[0]
-            out.append((next(act for act, nxt, _ in succ if nxt == cfg), cfg))
+            out.append((next(act for act, nxt, _, _ in succ if nxt == cfg), cfg))
             cfg = parent
         return out[::-1]
 
@@ -571,15 +574,18 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
     configurations are expanded, and, after an aborted walk, for those never
     expanded.  ``jobs`` is accepted for compatibility and ignored.
 
-    Each frontier entry carries a sleep set of roles, and the step bits of
-    its sleeping roles' enabled steps (see ``PackedSystem``), both set by
-    the configuration that first reached it; the initial one's are empty.
+    The walk is one first-in first-out queue of steps: an entry is the step
+    that admitted its configuration, with its sleep set of roles and the
+    step bits of its sleeping roles' enabled steps (see ``PackedSystem``).
     When ``s`` reaches a child by a step ``b`` of role ``B`` on channel
     ``k``, the child's sleep set is ``asleep(s)`` and the roles before
     ``B``, less ``B`` and the other end of ``k``, and its step bits are
-    ``s``'s for those roles.  ``_successors`` neither judges nor builds a
-    move of a sleeping role, and the walk counts a configuration's steps as
-    those listed plus those carried.
+    ``s``'s for those roles, ``bits & sleep`` as ``_successors`` lists
+    ``b``.  That is final: the roles before ``B`` have all their moves
+    before ``B``'s in the row, and those asleep at ``s`` came in with
+    ``bits``.  A sleeping role's moves are neither judged nor built, and
+    the walk counts a configuration's steps as those listed plus those
+    carried.
 
     The invariant: a skipped step leads to a configuration already in
     ``parents`` when its source is expanded.  A slot has one sender and one
@@ -614,7 +620,8 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
     configuration, only the steps of its source that come before the
     refused one in row order count: the source's steps are listed again
     with no sleep set, and the refused one is the first of them not in
-    ``parents``.
+    ``parents``.  The queue then holds, in discovery order, the
+    configurations admitted but never expanded, each judged at bound 0.
     """
     if max_buffer_bound < 1 or max_states < 1:
         raise ValueError("bounds must be at least 1")
@@ -629,37 +636,28 @@ def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
     edges = 0
     truncated = False
     exhausted = False
-    frontier: list[Packed] = [p.initial]
-    asleep: list[int] = [0]
-    carried: list[int] = [0]
-    while frontier and not exhausted:
-        next_frontier: list[Packed] = []
-        next_asleep: list[int] = []
-        next_carried: list[int] = []
-        for i, cfg in enumerate(frontier):
-            skipped = carried[i]
-            succ, cut, flags, bits = _successors(p, cfg, max_buffer_bound, asleep[i], skipped)
-            truncated = truncated or cut
-            if flags:
-                note(flags, cfg)
-            for _, nxt, sleep in succ:
-                if nxt not in parents:
-                    if len(parents) >= max_states:
-                        exhausted = True
-                        break
-                    parents[nxt] = cfg
-                    next_frontier.append(nxt)
-                    next_asleep.append(sleep)
-                    next_carried.append(bits & sleep)
-            if exhausted:
-                steps = _successors(p, cfg, max_buffer_bound)[0]
-                edges += next(n for n, (_, nxt, _) in enumerate(steps) if nxt not in parents)
-                # Admitted but never expanded, in discovery order.
-                for late in frontier[i + 1:] + next_frontier:
-                    note(_successors(p, late, 0)[2], late)
-                break
-            edges += len(succ) + skipped.bit_count()
-        frontier, asleep, carried = next_frontier, next_asleep, next_carried
+    queue: deque[tuple[Optional[Action], Packed, int, int]] = deque([(None, p.initial, 0, 0)])
+    while queue:
+        _, cfg, asleep, carried = queue.popleft()
+        succ, cut, flags = _successors(p, cfg, max_buffer_bound, asleep, carried)
+        truncated = truncated or cut
+        if flags:
+            note(flags, cfg)
+        for entry in succ:
+            if entry[1] not in parents:
+                if len(parents) >= max_states:
+                    exhausted = True
+                    break
+                parents[entry[1]] = cfg
+                queue.append(entry)
+        if exhausted:
+            steps = _successors(p, cfg, max_buffer_bound)[0]
+            edges += next(n for n, (_, nxt, _, _) in enumerate(steps) if nxt not in parents)
+            # Admitted but never expanded, in discovery order.
+            for _, late, _, _ in queue:
+                note(_successors(p, late, 0)[2], late)
+            break
+        edges += len(succ) + carried.bit_count()
     return ExplorationResult(
         frontier_truncated=truncated,
         max_buffer_bound=max_buffer_bound,

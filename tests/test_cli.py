@@ -491,6 +491,21 @@ def test_check_text_matches_the_golden_report(tmp_path, data_dir, capsys):
     assert out == (data_dir / "fan_in_deadlock.check.txt").read_text()
 
 
+def test_a_violation_found_only_after_the_budget_abort_reads_the_same_under_each_hash_seed(
+        data_dir):
+    # With room for two configurations the walk admits A's orphan message,
+    # then stops at the pump before expanding it: only the judging of the
+    # configurations admitted but never expanded finds the violation.
+    expected = (data_dir / "late_orphan.check.txt").read_bytes()
+    for seed in ("1", "4242"):
+        proc = subprocess.run([sys.executable, "-m", "cfsmkit.cli", "check",
+                               str(data_dir / "late_orphan.system"), "--max-states", "2"],
+                              env=fresh_interpreter_env(PYTHONHASHSEED=seed),
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 4, proc.stderr.decode()
+        assert proc.stdout == expected
+
+
 # Runs ``cfsmkit check`` in a fresh interpreter, since pytest and hypothesis
 # import hashlib here, and reports on stderr which hash modules it loaded.
 CHECK_AND_LIST_HASH_MODULES = """\

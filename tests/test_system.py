@@ -711,13 +711,13 @@ def assert_parents_fix_their_steps(result):
         assert id(parent) in keys
         depth[cfg] = depth[parent] + 1  # a KeyError if the parent came later
         succ = _successors(p, parent, bound)[0]
-        assert sum(nxt == cfg for _, nxt, _ in succ) == 1
+        assert sum(nxt == cfg for _, nxt, _, _ in succ) == 1
     levels = list(depth.values())
     assert levels == sorted(levels)
     edges = 0
     for cfg in result.packed_parents:
         # With no sleep mask: every step, none skipped.
-        for _, nxt, _ in _successors(p, cfg, bound)[0]:
+        for _, nxt, _, _ in _successors(p, cfg, bound)[0]:
             if nxt in depth:
                 assert depth[nxt] <= depth[cfg] + 1
                 edges += 1
@@ -908,8 +908,8 @@ def test_judging_alone_builds_no_step(data_dir):
         result = explore(s, max_buffer_bound=bound)
         p, keys = result.packing, list(result.packed_parents)
         for key in keys[::max(1, len(keys) // count)][:count]:
-            steps, _, flags, bits = _successors(p, key, 0)
-            assert steps == [] and bits == 0
+            steps, _, flags = _successors(p, key, 0)
+            assert steps == []
             assert flags == _successors(p, key, bound)[2] == violations(s, p.decode(key))
             flagged += bool(flags)
     assert flagged
