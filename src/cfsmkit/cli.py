@@ -37,7 +37,7 @@ from .gateway import gateway
 from .globaltype import ParseError, ProjectionError, parse_global_type, project
 from .gtir import Base, Connect, GtirError, GtirExpr, load_global_types, parse_gtir, semantics
 from .safety import SafetyReport, check_safety, render_report, report_to_doc
-from .system import parse_system
+from .system import DEFAULT_BOUND, DEFAULT_MAX_STATES, parse_system
 
 EXIT_OK = 0
 EXIT_INCOMPATIBLE = 1
@@ -57,7 +57,7 @@ class _CliFailure(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliFailure(EXIT_PARSE, f"cannot read {path}: {exc}") from None
 
@@ -97,7 +97,7 @@ def _emit_machine(machine, args) -> None:
 def _default_bound() -> int:
     raw = os.environ.get(BOUND_ENV_VAR)
     if raw is None:
-        return 4
+        return DEFAULT_BOUND
     try:
         bound = int(raw)
     except ValueError:
@@ -237,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="check the three safety properties by bounded exploration")
     p_check.add_argument("file", help="expression file (.gtir) or system file (JSON)")
     p_check.add_argument("--bound", type=int, default=None,
-                         help=f"buffer bound (default 4, or ${BOUND_ENV_VAR})")
-    p_check.add_argument("--max-states", type=int, default=1_000_000,
+                         help=f"buffer bound (default {DEFAULT_BOUND}, or ${BOUND_ENV_VAR})")
+    p_check.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
                          help="stop exploring after this many configurations, which bounds "
-                              "the memory a check takes (default 1000000)")
+                              f"the memory a check takes (default {DEFAULT_MAX_STATES})")
     p_check.add_argument("--jobs", type=int, default=1,
                          help="accepted for compatibility and ignored: exploration is sequential")
     p_check.add_argument("--types", help="directory of named global types (default: the input's directory)")

@@ -21,6 +21,7 @@ safe is established by exploration, not by construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -217,14 +218,11 @@ def _build(nfa: _Nfa, g: GlobalType, p: Role, src: int, dst: int) -> None:
             nfa.add_eps(src, dst)
     elif isinstance(g, Seq):
         cur = src
-        for item in g.items[:-1] if g.items else ():
+        for item in g.items:
             nxt = nfa.fresh()
             _build(nfa, item, p, cur, nxt)
             cur = nxt
-        if g.items:
-            _build(nfa, g.items[-1], p, cur, dst)
-        else:
-            nfa.add_eps(src, dst)
+        nfa.add_eps(cur, dst)
     elif isinstance(g, Choice):
         for br in g.branches:
             _build(nfa, br, p, src, dst)
@@ -303,46 +301,33 @@ class _Token:
     column: int
 
 
-_OPERATORS = ("<->", "->", ":", ";", "{", "}", ",", "(", ")")
+# Tried in order: a newline, blanks, a comment, an operator (longest first),
+# a name, and any other character.  The last alternative matches whatever the
+# others do not, so every position of the text is matched: ``finditer`` would
+# otherwise skip an unmatched character without a word.
+_LEXEME = re.compile(r"(\n)|[ \t\r]+|(#[^\n]*)|(<->|->|[:;{},()])|(\w+)|(.)")
 
 
 def tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, ending with an end-of-input token.
+
+    Names are runs of Unicode letters, digits and ``_`` (as ``str.isalnum``).
+    Blanks are space, tab and CR; newlines separate lines.  ``#`` starts a
+    comment that runs to the end of the line.  Columns count code points from
+    1, a tab counting as one, and the end-of-input token after a trailing
+    comment sits at its ``#``.  Any other character raises ParseError."""
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(_Token("op", op, line, col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            if ch.isalnum() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(_Token("ident", text[i:j], line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start, end = 1, 0, 0
+    for m in _LEXEME.finditer(text):
+        newline, comment, op, name, other = m.groups()
+        if newline:
+            line, line_start = line + 1, m.end()
+        elif other:
+            raise ParseError(f"unexpected character {other!r}", line, m.start() - line_start + 1)
+        elif op or name:
+            tokens.append(_Token("op" if op else "ident", m[0], line, m.start() - line_start + 1))
+        end = m.start() if comment else m.end()
+    tokens.append(_Token("eof", "", line, end - line_start + 1))
     return tokens
 
 

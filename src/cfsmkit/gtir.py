@@ -220,15 +220,15 @@ Registry = dict[str, GlobalType]
 
 
 def load_global_types(directory) -> Registry:
-    """Registry of named global types: every ``*.gt`` file, read as UTF-8 and
-    named by its stem.  A file that cannot be read or parsed raises GtirError
-    naming it."""
+    """Registry of named global types: every ``*.gt`` file, read as UTF-8 (a
+    leading BOM ignored) and named by its stem.  A file that cannot be read
+    or parsed raises GtirError naming it."""
     if not Path(directory).is_dir():
         raise GtirError(f"cannot read {directory}: not a directory")
     registry: Registry = {}
     for path in sorted(Path(directory).glob("*.gt")):
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise GtirError(f"cannot read {path}: {exc}") from None
         try:

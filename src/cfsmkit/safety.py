@@ -32,6 +32,8 @@ from typing import Optional
 from .cfsm import Action
 from .system import (
     DEADLOCK,
+    DEFAULT_BOUND,
+    DEFAULT_MAX_STATES,
     ORPHAN_MESSAGE,
     UNSPECIFIED_RECEPTION,
     CommunicatingSystem,
@@ -141,8 +143,8 @@ def report_from_exploration(s: CommunicatingSystem, result: ExplorationResult) -
     )
 
 
-def check_safety(s: CommunicatingSystem, max_buffer_bound: int = 4,
-                 max_states: int = 1_000_000) -> SafetyReport:
+def check_safety(s: CommunicatingSystem, max_buffer_bound: int = DEFAULT_BOUND,
+                 max_states: int = DEFAULT_MAX_STATES) -> SafetyReport:
     """Explore within bounds and evaluate all three safety properties."""
     result = explore(s, max_buffer_bound=max_buffer_bound, max_states=max_states)
     return report_from_exploration(s, result)

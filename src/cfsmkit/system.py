@@ -181,6 +181,10 @@ DEADLOCK = 1
 ORPHAN_MESSAGE = 2
 UNSPECIFIED_RECEPTION = 4
 
+#: The buffer bound and the state budget of a walk when none is given.
+DEFAULT_BOUND = 4
+DEFAULT_MAX_STATES = 1_000_000
+
 
 class PackedSystem:
     """A system in the flat form exploration works on.
@@ -564,8 +568,8 @@ class ExplorationResult:
         return tuple(act for act, _ in self._packed_path_to(cfg))
 
 
-def explore(s: CommunicatingSystem, max_buffer_bound: int = 4,
-            max_states: int = 1_000_000, jobs: int = 1) -> ExplorationResult:
+def explore(s: CommunicatingSystem, max_buffer_bound: int = DEFAULT_BOUND,
+            max_states: int = DEFAULT_MAX_STATES, jobs: int = 1) -> ExplorationResult:
     """Breadth-first closure of the initial configuration under ``step``.
 
     Sends into a full buffer are suppressed (flagging ``frontier_truncated``)

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import contextlib
 import io
 import json
@@ -376,6 +377,18 @@ def test_check_non_utf8_input_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("cfsmkit: cannot read")
+
+
+def test_a_leading_bom_is_ignored(data_dir, tmp_path, capsys):
+    for name in ("mutual_wait.system", "relay.gt", "alternator.gt", "composed.gtir"):
+        (tmp_path / name).write_bytes(codecs.BOM_UTF8 + (data_dir / name).read_bytes())
+    for command, code in ((("check", "mutual_wait.system"), 4),
+                          (("check", "composed.gtir", "--bound", "2"), 5),
+                          (("project", "relay.gt", "--role", "M"), 0)):
+        verb, name, *options = command
+        plain = run(capsys, verb, str(data_dir / name), *options)
+        assert plain[0] == code
+        assert run(capsys, verb, str(tmp_path / name), *options) == plain
 
 
 def test_check_missing_file_exits_2(capsys):

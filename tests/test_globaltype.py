@@ -20,7 +20,7 @@ from cfsmkit import (
     project,
     roles,
 )
-from cfsmkit.globaltype import check_projectable, first_interactions
+from cfsmkit.globaltype import check_projectable, first_interactions, tokenize
 from conftest import RELAY_SRC, submitter_machine
 
 
@@ -151,6 +151,38 @@ def test_first_interactions_nullability():
 
 # -- parsing ------------------------------------------------------------------
 
+@pytest.mark.parametrize("text, expected", [
+    ("A->B:\tm", [("ident", "A", 1, 1), ("op", "->", 1, 2), ("ident", "B", 1, 4),
+                  ("op", ":", 1, 5), ("ident", "m", 1, 7), ("eof", "", 1, 8)]),
+    ("A->B: m\r\nB->A: n", [("ident", "A", 1, 1), ("op", "->", 1, 2), ("ident", "B", 1, 4),
+                            ("op", ":", 1, 5), ("ident", "m", 1, 7), ("ident", "B", 2, 1),
+                            ("op", "->", 2, 2), ("ident", "A", 2, 4), ("op", ":", 2, 5),
+                            ("ident", "n", 2, 7), ("eof", "", 2, 8)]),
+    ("é²_x->B: m", [("ident", "é²_x", 1, 1), ("op", "->", 1, 5), ("ident", "B", 1, 7),
+                    ("op", ":", 1, 8), ("ident", "m", 1, 10), ("eof", "", 1, 11)]),
+    ("loop { A->B: m # tail", [("ident", "loop", 1, 1), ("op", "{", 1, 6), ("ident", "A", 1, 8),
+                               ("op", "->", 1, 9), ("ident", "B", 1, 11), ("op", ":", 1, 12),
+                               ("ident", "m", 1, 14), ("eof", "", 1, 16)]),
+    ("connect (base t interfaces {H}) via H <-> K",
+     [("ident", "connect", 1, 1), ("op", "(", 1, 9), ("ident", "base", 1, 10),
+      ("ident", "t", 1, 15), ("ident", "interfaces", 1, 17), ("op", "{", 1, 28),
+      ("ident", "H", 1, 29), ("op", "}", 1, 30), ("op", ")", 1, 31), ("ident", "via", 1, 33),
+      ("ident", "H", 1, 37), ("op", "<->", 1, 39), ("ident", "K", 1, 43), ("eof", "", 1, 44)]),
+    ("A->B: m!", "line 1, column 8: unexpected character '!'"),
+    ("A<-B: m", "line 1, column 2: unexpected character '<'"),
+    ("A - > B", "line 1, column 3: unexpected character '-'"),
+    ("A\x0bB", "line 1, column 2: unexpected character '\\x0b'"),
+    ("\ufeffA->B: m", "line 1, column 1: unexpected character '\\ufeff'"),
+], ids=["tab", "crlf", "unicode-name", "trailing-comment", "connect-arrow",
+        "bang", "lone-lt", "split-arrow", "vertical-tab", "inner-bom"])
+def test_tokenize_pins_tokens_positions_and_errors(text, expected):
+    try:
+        got = [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+    except ParseError as exc:
+        got = str(exc)
+    assert got == expected
+
+
 def test_parse_round_trip_structure(relay_type):
     assert parse_global_type(RELAY_SRC) == relay_type
 
@@ -164,6 +196,10 @@ def test_parse_reports_line_and_column():
     with pytest.raises(ParseError) as err:
         parse_global_type("A->B: x;\nchoice at {")
     assert err.value.line == 2
+
+    with pytest.raises(ParseError) as err:
+        parse_global_type("loop { A->B: m # tail")
+    assert str(err.value) == "line 1, column 16: expected '}', found ''"
 
 
 def test_parse_rejects_self_interaction_with_location():
