@@ -118,7 +118,11 @@ class Direction(str, Enum):
 
 @dataclass(frozen=True, slots=True, order=True)
 class Action:
-    """A send (``sr!a``) or receive (``sr?a``) of message ``a`` on channel ``sr``."""
+    """A send (``sr!a``) or receive (``sr?a``) of message ``a`` on channel ``sr``.
+
+    Actions order by sender, receiver, direction (``!`` before ``?``, as
+    ``Direction`` is a ``str`` enum) and label, so ``sorted`` lists
+    transitions ``(src, act, dst)`` by source, that order and target."""
 
     channel: Channel
     direction: Direction
@@ -151,13 +155,6 @@ class Action:
 
 #: A machine transition: (source state, action, target state).
 Transition = tuple[str, Action, str]
-
-
-def transition_sort_key(t: Transition):
-    # ``Direction`` is a ``str`` enum: its members order as their values.
-    src, act, dst = t
-    return (src, act.channel.sender.name, act.channel.receiver.name,
-            act.direction, act.message.label, dst)
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,8 +210,7 @@ class Cfsm:
         each call: a machine holds only its definition."""
         if state not in self.states:
             raise UnknownStateError(f"{self.subject} has no state {state!r}")
-        return tuple(sorted((t for t in self.transitions if t[0] == state),
-                            key=transition_sort_key))
+        return tuple(sorted(t for t in self.transitions if t[0] == state))
 
     def roles_mentioned(self) -> frozenset[Role]:
         """All roles occurring in channels of this machine's transitions."""
@@ -272,15 +268,10 @@ def _determinism_witness(m: Cfsm, direction: Direction) -> Optional[tuple[Transi
     # ignored, so two same-direction transitions on the same message must
     # agree on the target even when they use different channels.
     seen: dict[tuple[str, Message], Transition] = {}
-    for t in sorted(m.transitions, key=transition_sort_key):
+    for t in sorted(t for t in m.transitions if t[1].direction is direction):
         src, act, dst = t
-        if act.direction is not direction:
-            continue
-        key = (src, act.message)
-        prev = seen.get(key)
-        if prev is None:
-            seen[key] = t
-        elif prev[2] != dst:
+        prev = seen.setdefault((src, act.message), t)
+        if prev[2] != dst:
             return (prev, t)
     return None
 
@@ -388,7 +379,7 @@ def machine_to_doc(m: Cfsm) -> dict:
                 "dir": act.direction.value,
                 "msg": act.message.label,
             }
-            for src, act, dst in sorted(m.transitions, key=transition_sort_key)
+            for src, act, dst in sorted(m.transitions)
         ],
     }
 
@@ -436,13 +427,18 @@ def serialize_machine(m: Cfsm) -> str:
 
 
 def parse_json_document(text: str) -> object:
-    """The JSON document ``text`` holds; MachineFormatError when it holds none."""
+    """The JSON document ``text`` holds; MachineFormatError when it holds none,
+    or holds a string UTF-8 cannot encode (a lone surrogate escape)."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
+        json.dumps(doc, ensure_ascii=False).encode()
+        return doc
     except json.JSONDecodeError as exc:
         raise MachineFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise MachineFormatError("not valid JSON: nested too deeply") from None
+    except UnicodeEncodeError as exc:
+        raise MachineFormatError(f"not valid text: lone surrogate {exc.object[exc.start]!r}") from None
 
 
 def parse_machine(text: str) -> Cfsm:
@@ -453,15 +449,18 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace('\\', '\\\\').replace('"', '\\"') + '"'
 
 
-def machine_to_dot(m: Cfsm, name: Optional[str] = None) -> str:
-    """Render a machine as a DOT digraph; edges are labelled ``sr!a`` / ``sr?a``."""
-    title = name if name is not None else m.subject.name
-    lines = [f"digraph {_dot_quote(title)} {{", "  rankdir=LR;", "  node [shape=circle];",
-             '  "__start" [shape=point, label=""];',
-             f"  \"__start\" -> {_dot_quote(m.initial)};"]
+def machine_to_dot(m: Cfsm) -> str:
+    """Render a machine as a DOT digraph; edges are labelled ``sr!a`` / ``sr?a``, and
+    a point node ``__start`` (``_`` appended while a state has that name) marks the start."""
+    start = "__start"
+    while start in m.states:
+        start += "_"
+    lines = [f"digraph {_dot_quote(m.subject.name)} {{", "  rankdir=LR;", "  node [shape=circle];",
+             f'  {_dot_quote(start)} [shape=point, label=""];',
+             f"  {_dot_quote(start)} -> {_dot_quote(m.initial)};"]
     for q in sorted(m.states):
         lines.append(f"  {_dot_quote(q)};")
-    for src, act, dst in sorted(m.transitions, key=transition_sort_key):
+    for src, act, dst in sorted(m.transitions):
         lines.append(f"  {_dot_quote(src)} -> {_dot_quote(dst)} [label={_dot_quote(str(act))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -67,10 +67,13 @@ def _output(out: Optional[str]):
     """Stdout, or the ``out`` file, opened on entry so that an unwritable path
     fails before the work inside the block."""
     if not out:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+        except UnicodeEncodeError as exc:
+            raise _CliFailure(EXIT_PARSE, f"cannot write to standard output: {exc}") from None
         return
     try:
-        with open(out, "w") as stream:
+        with open(out, "w", encoding="utf-8") as stream:
             yield stream
     except OSError as exc:
         raise _CliFailure(EXIT_PARSE, f"cannot write {out}: {exc}") from None

@@ -29,7 +29,6 @@ from .cfsm import (
     Transition,
     as_role,
     is_isomorphic,
-    transition_sort_key,
 )
 
 
@@ -84,7 +83,7 @@ def gateway(m: Cfsm, partner: RoleLike) -> Cfsm:
 
     states = set(m.states)
     transitions: set[Transition] = set()
-    for t in sorted(m.transitions, key=transition_sort_key):
+    for t in sorted(m.transitions):
         src, act, dst = t
         mid = GatewayState(src, t).name()
         if mid in states:

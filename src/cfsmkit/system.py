@@ -308,7 +308,7 @@ class PackedSystem:
                 zip(control, self._leaving, self.states, self._controls)):
             # Slots, codes and control characters number channels, labels and
             # states in name order, and a role only sends or only receives on
-            # a channel, so this is ``transition_sort_key``'s order.
+            # a channel, so this is the transitions' own order.
             exits = sorted([(slots[ch.sender.name, ch.receiver.name], act.direction is SEND,
                              codes[act.message.label], controls[dst], act)
                             for _, act, dst in leaving.get(states[ord(q) - 1], ())

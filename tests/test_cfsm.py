@@ -24,7 +24,7 @@ from cfsmkit import (
     parse_machine,
     serialize_machine,
 )
-from cfsmkit.cfsm import transition_sort_key
+from cfsmkit.cfsm import machine_to_doc
 
 
 def empty_machine(subject="H"):
@@ -140,14 +140,40 @@ def test_io_determinism_examples(mj, mk):
     assert not is_io_deterministic(bad)
 
 
-def test_sort_key_orders_a_send_before_a_receive():
-    # Same state, channel, label and target: only the direction differs, and
-    # it orders as its text does, "!" before "?".
-    send = ("q", Action.send("A", "B", "m"), "q")
-    receive = ("q", Action.receive("A", "B", "m"), "q")
-    assert "!" < "?"
-    assert transition_sort_key(send) < transition_sort_key(receive)
-    assert sorted([receive, send], key=transition_sort_key) == [send, receive]
+# Names where value order and text order part ways: "AB" and "B1" extend
+# another name, and "é" sorts after every ASCII letter.
+NAMES = st.sampled_from(["A", "AB", "B", "B1", "é"])
+
+
+@st.composite
+def transitions_of(draw, subject=None):
+    h = subject or draw(NAMES)
+    other, label = draw(NAMES.filter(lambda r: r != h)), draw(NAMES)
+    act = draw(st.sampled_from([Action.send(h, other, label), Action.receive(other, h, label)]))
+    return (draw(NAMES), act, draw(NAMES))
+
+
+def listed_order(t):
+    # Source, sender, receiver, direction ("!" before "?"), label, target:
+    # the order JSON and DOT list transitions in.
+    src, act, dst = t
+    return (src, act.channel.sender.name, act.channel.receiver.name,
+            act.direction.value, act.message.label, dst)
+
+
+@given(st.lists(transitions_of()), NAMES, st.data())
+def test_transitions_sort_by_source_channel_direction_label_and_target(ts, h, data):
+    send, receive = ("q", Action.send("A", "B", "m"), "q"), ("q", Action.receive("A", "B", "m"), "q")
+    assert sorted([receive, send]) == [send, receive]
+    assert sorted(ts) == sorted(ts, key=listed_order)
+    m = Cfsm.make(h, "A", data.draw(st.lists(transitions_of(h))))
+    ordered = sorted(m.transitions, key=listed_order)
+    assert [t for q in sorted(m.states) for t in m.outgoing(q)] == ordered
+    assert [(t["from"], t["channel"]["sender"], t["channel"]["receiver"], t["dir"],
+             t["msg"], t["to"]) for t in machine_to_doc(m)["transitions"]] == [
+        listed_order(t) for t in ordered]
+    edges = [line for line in machine_to_dot(m).splitlines() if "[label=" in line]
+    assert edges == [f'  "{src}" -> "{dst}" [label="{act}"];' for src, act, dst in ordered]
 
 
 def test_action_text_is_stored_once():
@@ -294,3 +320,12 @@ def test_dot_export_labels_actions(mj):
     assert dot.startswith('digraph "J"')
     assert '"1" -> "2" [label="JM!text"];' in dot
     assert '"2" -> "1" [label="MJ?fail"];' in dot
+
+
+def test_dot_start_marker_is_no_state():
+    m = Cfsm.make("H", "__start", [("__start", Action.send("H", "A", "m"), "__start_")])
+    dot = machine_to_dot(m)
+    assert '  "__start__" [shape=point, label=""];' in dot
+    assert [line for line in dot.splitlines() if line.startswith('  "__start__" ->')] == [
+        '  "__start__" -> "__start";']
+    assert "__start__" not in m.states and '"__start" -> "__start"' not in dot

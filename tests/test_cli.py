@@ -37,6 +37,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_in_a_fresh_interpreter(*argv, **variables):
+    return subprocess.run([sys.executable, "-m", "cfsmkit.cli", *map(str, argv)],
+                          env=fresh_interpreter_env(**variables), capture_output=True,
+                          timeout=60)
+
+
 # -- project ------------------------------------------------------------------
 
 def test_project_writes_a_machine_file(data_dir, tmp_path, capsys):
@@ -477,10 +483,8 @@ def test_check_witness_is_identical_under_every_hash_seed(tmp_path):
     path.write_text(serialize_system(fan_in_deadlock_system()))
     outputs = set()
     for seed in range(1, 6):
-        proc = subprocess.run([sys.executable, "-m", "cfsmkit.cli", "check", str(path),
-                               "--format", "json"],
-                              env=fresh_interpreter_env(PYTHONHASHSEED=str(seed)),
-                              capture_output=True, timeout=60)
+        proc = cli_in_a_fresh_interpreter("check", path, "--format", "json",
+                                          PYTHONHASHSEED=str(seed))
         assert proc.returncode == 4, proc.stderr.decode()
         outputs.add(proc.stdout)
     assert len(outputs) == 1
@@ -511,10 +515,8 @@ def test_a_violation_found_only_after_the_budget_abort_reads_the_same_under_each
     # configurations admitted but never expanded finds the violation.
     expected = (data_dir / "late_orphan.check.txt").read_bytes()
     for seed in ("1", "4242"):
-        proc = subprocess.run([sys.executable, "-m", "cfsmkit.cli", "check",
-                               str(data_dir / "late_orphan.system"), "--max-states", "2"],
-                              env=fresh_interpreter_env(PYTHONHASHSEED=seed),
-                              capture_output=True, timeout=60)
+        proc = cli_in_a_fresh_interpreter("check", data_dir / "late_orphan.system",
+                                          "--max-states", "2", PYTHONHASHSEED=seed)
         assert proc.returncode == 4, proc.stderr.decode()
         assert proc.stdout == expected
 
@@ -642,6 +644,69 @@ def test_check_leaves_out_untouched_when_the_input_fails(data_dir, tmp_path, cap
     assert got == code and "Traceback" not in err
     assert err.startswith(f"cfsmkit: {tmp_path / name}: ") and message in err
     assert out.read_text() == "earlier report\n"
+
+
+# -- output encoding and hash seeds, in fresh interpreters ----------------------
+
+# An ASCII locale without Python's UTF-8 mode: standard output encodes as ASCII.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize("command", [("gateway", "--partner", "K", "--format", "dot"),
+                                     ("check", "--format", "json"), ("check",)],
+                         ids=["gateway-dot", "check-json", "check-text"])
+def test_a_lone_surrogate_in_a_json_name_exits_2(tmp_path, command):
+    # JSON lets a name be a lone surrogate escape; here a state that the
+    # gateway prints and that the deadlock's witness passes through.
+    a = Cfsm.make("A", "q0", [("q0", Action.send("A", "B", "m"), "\ud800")])
+    b = Cfsm.make("B", "r0", [("r0", Action.receive("A", "B", "n"), "r1")])
+    path = tmp_path / "input.json"
+    path.write_text(serialize_machine(a) if command[0] == "gateway"
+                    else serialize_system(CommunicatingSystem({"A": a, "B": b})))
+    assert "\\ud800" in path.read_text()
+    proc = cli_in_a_fresh_interpreter(command[0], path, *command[1:])
+    assert (proc.returncode, proc.stdout) == (2, b""), proc.stderr.decode()
+    assert proc.stderr == f"cfsmkit: {path}: not valid text: lone surrogate '\\ud800'\n".encode()
+
+
+GREETING = "A->B: grüße\n"
+
+
+def test_output_the_locale_cannot_encode_exits_2(tmp_path):
+    (tmp_path / "greet.gt").write_text(GREETING, encoding="utf-8")
+    proc = cli_in_a_fresh_interpreter("project", tmp_path / "greet.gt", "--role", "A",
+                                      "--format", "dot", **ASCII_LOCALE)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"cfsmkit: cannot write to standard output: ")
+    assert b"Traceback" not in proc.stderr
+
+
+def test_out_is_utf8_whatever_the_locale(tmp_path):
+    # --out is written as UTF-8, like every input is read.
+    (tmp_path / "greet.gt").write_text(GREETING, encoding="utf-8")
+    argv = ["project", tmp_path / "greet.gt", "--role", "A", "--format", "dot"]
+    out = tmp_path / "a.dot"
+    proc = cli_in_a_fresh_interpreter(*argv, "--out", out, **ASCII_LOCALE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    utf8 = cli_in_a_fresh_interpreter(*argv, PYTHONUTF8="1")
+    assert utf8.returncode == 0 and "grüße".encode() in utf8.stdout
+    assert out.read_bytes() == utf8.stdout
+
+
+def test_machine_outputs_are_identical_under_every_hash_seed(data_dir):
+    commands = [["project", data_dir / "relay.gt", "--role", "J"],
+                ["gateway", data_dir / "mj.cfsm", "--partner", "K"]]
+    for argv in commands:
+        for fmt in ("json", "dot"):
+            outputs = set()
+            for seed in range(1, 6):
+                proc = cli_in_a_fresh_interpreter(*argv, "--format", fmt,
+                                                  PYTHONHASHSEED=str(seed))
+                assert proc.returncode == 0, proc.stderr.decode()
+                outputs.add(proc.stdout)
+            assert len(outputs) == 1
+    # The last outputs are the gateway's DOT.
+    assert outputs == {(data_dir / "gw_mj_k.dot").read_bytes()}
 
 
 # -- exit codes of mutated inputs ---------------------------------------------
